@@ -122,6 +122,16 @@ with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det --flat \
   --seed 5 > /dev/null
 echo "ci: det_dsf flat e2e smoke ok (path n=4096)"
 
+# Parameter-sweep scale smoke: the exact D/WD/s sweep on a path of 16384
+# nodes (s = n-1, n^2 heap operations) must finish inside the timeout and
+# report the known s.  A sweep that allocates per source or falls back to
+# boxed keys blows the budget.
+with_timeout 60 dune exec bin/dsf_cli.exe -- params --topology path \
+  --nodes 16384 > "$scratch/params_path16k.out"
+grep -q " s=16383 " "$scratch/params_path16k.out" || {
+  echo "ci: params on path n=16384 did not report s=16383" >&2; exit 1; }
+echo "ci: parameter sweep scale smoke ok (path n=16384)"
+
 # Sanitizer-on flat e2e smoke: the same solve at n=1024 with the runtime
 # ownership sanitizer armed (DSF_SANITIZE=1 arms every run_flat in the
 # process).  A cross-partition write, escaped emit closure, or arena

@@ -145,6 +145,9 @@ let run ?observer ?telemetry ?(repetitions = 3) ?force_truncate ?(jobs = 1)
   Ledger.add ledger Ledger.Simulated "setup: minimalize instance (Lemma 2.4)"
     minimalized.Transform.rounds;
   let max_bits = ref 0 in
+  (* Also forces the graph's parameter memo before the trial fan-out below,
+     so every trial's [Virtual_tree.build] reads [WD] from it instead of
+     sweeping again on a worker domain. *)
   let d, _, s = Paths.parameters g in
   (* The regime test of footnote 2, genuinely simulated: count n by
      convergecast, then run Bellman-Ford for at most sqrt(n) rounds. *)

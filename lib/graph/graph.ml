@@ -28,6 +28,11 @@ type t = {
      wins atomically — but the flat engine still forces it before fanning
      out domains so workers never build it. *)
   mutable csr_memo : csr option;
+  (* Memo of [Paths.parameters], on the same terms as [csr_memo]: graphs
+     are immutable, so every sweep yields equal triples and the benign race
+     ends in one atomic pointer write.  Callers that fan out domains force
+     it first ([Rand_dsf.run] does). *)
+  mutable params_memo : (int * int * int) option;
 }
 
 let build_csr ~n edges adj =
@@ -113,7 +118,7 @@ let make_arr ~n triples =
       adj.(e.v).(fill.(e.v)) <- (e.u, e.w, e.id);
       fill.(e.v) <- fill.(e.v) + 1)
     edges;
-  { n; edges; adj; csr_memo = None }
+  { n; edges; adj; csr_memo = None; params_memo = None }
 
 let make ~n edge_triples = make_arr ~n (Array.of_list edge_triples)
 
@@ -136,6 +141,14 @@ let csr g =
       let c = build_csr ~n:g.n g.edges g.adj in
       g.csr_memo <- Some c;
       c
+
+let memo_parameters g compute =
+  match g.params_memo with
+  | Some p -> p
+  | None ->
+      let p = compute g in
+      g.params_memo <- Some p;
+      p
 
 let pos c ~src ~dst:d =
   if src < 0 || src + 1 >= Array.length c.off then -1

@@ -72,6 +72,12 @@ val csr : t -> csr
     out domains should force it once up front — {!Dsf_congest.Sim.run_flat}
     does. *)
 
+val memo_parameters : t -> (t -> int * int * int) -> int * int * int
+(** [memo_parameters g compute] is [compute g], computed on the first call
+    and memoized on the graph like {!csr}, so every later call returns the
+    same physical triple.  An exception from [compute] memoizes nothing.
+    {!Paths.parameters} is its only caller. *)
+
 val csr_pos : t -> src:int -> dst:int -> int
 (** [csr_pos g ~src ~dst] is the directed CSR position of the edge from
     [src] to [dst], or [-1] if no such edge exists (or [src] is out of

@@ -119,46 +119,117 @@ let eccentricity_unweighted g v =
       if d = inf then invalid_arg "Paths: disconnected graph" else max acc d)
     0 dist
 
-let fold_sources g f init =
-  let acc = ref init in
-  for src = 0 to Graph.n g - 1 do
-    acc := f !acc src
-  done;
-  !acc
-
-let diameter_unweighted g =
-  fold_sources g (fun acc src -> max acc (eccentricity_unweighted g src)) 0
-
-let diameter_weighted g =
-  fold_sources g
-    (fun acc src ->
-      let dist, _ = dijkstra g ~src in
-      Array.fold_left
-        (fun a d ->
-          if d = inf then invalid_arg "Paths: disconnected graph" else max a d)
-        acc dist)
-    0
-
-let shortest_path_diameter g =
-  fold_sources g
-    (fun acc src ->
-      let _, _, hops = dijkstra_hops g ~src in
-      Array.fold_left
-        (fun a h ->
-          if h = inf then invalid_arg "Paths: disconnected graph" else max a h)
-        acc hops)
-    0
-
-let parameters g =
+(* The all-sources sweep behind [parameters], int-specialized over the CSR
+   view.  Per source: a BFS with an int-array queue for D, and the
+   lexicographic (dist, hops) Dijkstra of [dijkstra_hops] for WD and s.  Its
+   key packs the pair as [dist lsl hop_bits + hops], so pair order is int
+   order and relaxing position [p] adds [step.(p) = wgt.(p) lsl hop_bits + 1].
+   The heap is two int arrays with lazy deletion: a popped key that is no
+   longer its node's best is stale.  Only maxima leave the kernel, so heap
+   tie-breaking cannot change the result.  Scratch is allocated once per
+   call, nothing per source. *)
+let sweep g =
+  let n = Graph.n g in
+  let { Graph.off; dst; wgt; _ } = Graph.csr g in
+  (* Keys stay below [max_int]: a settled node's least-hop path is simple,
+     so a key popped or pushed, including one edge past a settled node,
+     has at most n hops (within [hop_bits]) and weighs at most twice the
+     total weight (within [max_int lsr hop_bits] by the guard). *)
+  let hop_bits = Dsf_util.Intmath.ceil_log2 (n + 1) in
+  let hop_mask = (1 lsl hop_bits) - 1 in
+  let limit = max_int lsr (hop_bits + 1) in
+  ignore
+    (Array.fold_left
+       (fun acc (e : Graph.edge) ->
+         if e.w > limit - acc then
+           invalid_arg "Paths.parameters: total weight overflows the packed key";
+         acc + e.w)
+       0 (Graph.edges g));
+  let step = Array.map (fun w -> (w lsl hop_bits) + 1) wgt in
+  let level = Array.make n 0 and queue = Array.make n 0 in
+  let key = Array.make n 0 in
+  let hkey = Array.make (Array.length dst + 1) 0 in
+  let hnode = Array.make (Array.length dst + 1) 0 in
+  let size = ref 0 in
+  let push k v =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && hkey.((!i - 1) / 2) > k do
+      let p = (!i - 1) / 2 in
+      hkey.(!i) <- hkey.(p);
+      hnode.(!i) <- hnode.(p);
+      i := p
+    done;
+    hkey.(!i) <- k;
+    hnode.(!i) <- v
+  in
+  (* Drop the root (the caller has read it) and sift the last entry down. *)
+  let pop () =
+    decr size;
+    let k = hkey.(!size) and v = hnode.(!size) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let c = (2 * !i) + 1 in
+      let c = if c + 1 < !size && hkey.(c + 1) < hkey.(c) then c + 1 else c in
+      if c < !size && hkey.(c) < k then begin
+        hkey.(!i) <- hkey.(c);
+        hnode.(!i) <- hnode.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    hkey.(!i) <- k;
+    hnode.(!i) <- v
+  in
   let d = ref 0 and wd = ref 0 and s = ref 0 in
-  for src = 0 to Graph.n g - 1 do
-    let bd, _ = bfs g ~src in
-    let dist, _, hops = dijkstra_hops g ~src in
-    for v = 0 to Graph.n g - 1 do
-      if bd.(v) = inf then invalid_arg "Paths: disconnected graph";
-      d := max !d bd.(v);
-      wd := max !wd dist.(v);
-      s := max !s hops.(v)
+  for src = 0 to n - 1 do
+    Array.fill level 0 n (-1);
+    level.(src) <- 0;
+    queue.(0) <- src;
+    let head = ref 0 and tail = ref 1 in
+    while !head < !tail do
+      let v = queue.(!head) in
+      incr head;
+      for p = off.(v) to off.(v + 1) - 1 do
+        let u = dst.(p) in
+        if level.(u) < 0 then begin
+          level.(u) <- level.(v) + 1;
+          queue.(!tail) <- u;
+          incr tail
+        end
+      done
+    done;
+    if !tail < n then invalid_arg "Paths: disconnected graph";
+    (* BFS dequeues by level, so the last node is the farthest. *)
+    if level.(queue.(n - 1)) > !d then d := level.(queue.(n - 1));
+    Array.fill key 0 n max_int;
+    key.(src) <- 0;
+    push 0 src;
+    while !size > 0 do
+      let k = hkey.(0) and v = hnode.(0) in
+      pop ();
+      if k = key.(v) then begin
+        let dist = k lsr hop_bits and hops = k land hop_mask in
+        if dist > !wd then wd := dist;
+        if hops > !s then s := hops;
+        for p = off.(v) to off.(v + 1) - 1 do
+          let u = dst.(p) and nk = k + step.(p) in
+          if nk < key.(u) then begin
+            key.(u) <- nk;
+            push nk u
+          end
+        done
+      end
     done
   done;
   !d, !wd, !s
+
+let parameters g = Graph.memo_parameters g sweep
+
+let diameter_unweighted g =
+  let d, _, _ = parameters g in
+  d
+
+let diameter_weighted g =
+  let _, wd, _ = parameters g in
+  wd

@@ -32,15 +32,19 @@ val all_pairs : Graph.t -> int array array
 
 val eccentricity_unweighted : Graph.t -> int -> int
 
+val parameters : Graph.t -> int * int * int
+(** [(d, wd, s)], exactly.  One all-sources sweep over the CSR view: per
+    source a BFS and a lexicographic (weight, hops) Dijkstra on packed int
+    keys, O(n·(m log n)) time and O(n + m) words of scratch per graph, with
+    no allocation per source.  The triple is memoized on the graph
+    ({!Graph.memo_parameters}), so later calls on the same graph, and
+    {!diameter_unweighted} and {!diameter_weighted}, cost nothing.  Raises
+    [Invalid_argument] if the graph is disconnected, or if its total weight
+    exceeds [max_int lsr (ceil_log2 (n + 1) + 1)], where a packed
+    (weight, hops) key could overflow (2{^ 46} - 1 at n = 16384). *)
+
 val diameter_unweighted : Graph.t -> int
-(** [D].  Raises [Invalid_argument] if the graph is disconnected. *)
+(** [D], the first component of {!parameters}. *)
 
 val diameter_weighted : Graph.t -> int
-(** [WD]. *)
-
-val shortest_path_diameter : Graph.t -> int
-(** [s]: max over pairs of the min hop count among least-weight paths.  Uses
-    lexicographic (weight, hops) Dijkstra from every source; O(n·m log n). *)
-
-val parameters : Graph.t -> int * int * int
-(** [(d, wd, s)] in one pass over sources. *)
+(** [WD], the second component of {!parameters}. *)

@@ -204,6 +204,88 @@ let test_s_vs_d_gap () =
   check Alcotest.int "D small" 1 (Paths.bfs g ~src:0 |> fun (dist, _) -> dist.(n - 1));
   Alcotest.(check bool) "s > D" true (s > d)
 
+(* The kept single-source oracles, maximized over all sources: what the
+   all-sources kernel behind [Paths.parameters] must reproduce exactly. *)
+let oracle_parameters g =
+  let d = ref 0 and wd = ref 0 and s = ref 0 in
+  for src = 0 to Graph.n g - 1 do
+    let bd, _ = Paths.bfs g ~src in
+    let dist, _, hops = Paths.dijkstra_hops g ~src in
+    Array.iter (fun x -> d := max !d x) bd;
+    Array.iter (fun x -> wd := max !wd x) dist;
+    Array.iter (fun x -> s := max !s x) hops
+  done;
+  !d, !wd, !s
+
+let prop_parameters_match_oracle =
+  let max_ws = [| 1; 2; 16 |] in
+  QCheck.Test.make ~name:"parameters kernel = single-source oracle maxima"
+    ~count:60
+    QCheck.(pair (int_range 0 10_000) (int_range 0 3))
+    (fun (seed, family) ->
+      let r = rng seed in
+      let max_w = max_ws.(seed mod 3) in
+      let shape =
+        match family with
+        | 0 -> Gen.random_connected r ~n:(2 + (seed mod 40)) ~extra_edges:(seed mod 30) ~max_w
+        | 1 -> Gen.grid ~rows:(1 + (seed mod 6)) ~cols:(2 + (seed mod 7))
+        | 2 -> Gen.path (2 + (seed mod 50))
+        | _ -> Gen.lollipop ~clique:(2 + (seed mod 6)) ~tail:(seed mod 12)
+      in
+      let g = if family = 0 then shape else Gen.reweight r ~max_w shape in
+      Paths.parameters g = oracle_parameters g)
+
+let test_parameters_disconnected () =
+  let g = Graph.make ~n:4 [ 0, 1, 1; 2, 3, 1 ] in
+  Alcotest.check_raises "disconnected"
+    (Invalid_argument "Paths: disconnected graph") (fun () ->
+      ignore (Paths.parameters g));
+  (* Failure memoizes nothing: the second call raises again. *)
+  Alcotest.check_raises "still disconnected"
+    (Invalid_argument "Paths: disconnected graph") (fun () ->
+      ignore (Paths.diameter_weighted g))
+
+let test_parameters_memo () =
+  let g = Gen.random_connected (rng 3) ~n:30 ~extra_edges:20 ~max_w:9 in
+  let p = Paths.parameters g in
+  Alcotest.(check bool) "same physical triple" true (Paths.parameters g == p);
+  let d, wd, _ = p in
+  check Alcotest.int "diameter_unweighted projects D" d (Paths.diameter_unweighted g);
+  check Alcotest.int "diameter_weighted projects WD" wd (Paths.diameter_weighted g);
+  (* The sharing the memo pays off through: minimalizing an instance keeps
+     its physical graph, so the CLI header, Rand_dsf and every virtual tree
+     read one memo. *)
+  let inst = Instance.make_ic g (Gen.spread_labels (rng 4) g ~t:8 ~k:2) in
+  let out = Dsf_core.Transform.minimalize inst in
+  Alcotest.(check bool) "minimalize keeps the graph" true
+    (out.Dsf_core.Transform.value.Instance.graph == inst.Instance.graph)
+
+let test_parameters_overflow_guard () =
+  let overflow =
+    Invalid_argument "Paths.parameters: total weight overflows the packed key"
+  in
+  let raises name edges =
+    Alcotest.check_raises name overflow (fun () ->
+        ignore (Paths.parameters (Graph.make ~n:(List.length edges + 1) edges)))
+  in
+  raises "two nodes, weight max_int / 4" [ 0, 1, max_int / 4 ];
+  raises "total that wraps around max_int" [ 0, 1, max_int; 1, 2, max_int ];
+  (* Three nodes keep two hop bits, so a total weight of max_int lsr 3 is
+     the largest that packs; at that limit the result is exact. *)
+  let limit = max_int lsr 3 in
+  check Alcotest.(triple int int int) "exact at the limit" (2, limit, 2)
+    (Paths.parameters (Graph.make ~n:3 [ 0, 1, 1; 1, 2, limit - 1 ]));
+  raises "one over the limit" [ 0, 1, 2; 1, 2, limit - 1 ]
+
+let test_parameters_allocation () =
+  let g = Gen.path 512 in
+  let budget = 64. *. float_of_int (Graph.n g + Graph.m g) in
+  let before = Gc.minor_words () in
+  ignore (Paths.parameters g);
+  let words = Gc.minor_words () -. before in
+  if words > budget then
+    Alcotest.failf "parameters on path 512: %.0f minor words > budget %.0f" words budget
+
 let prop_dijkstra_triangle =
   QCheck.Test.make ~name:"dijkstra satisfies triangle inequality" ~count:30
     QCheck.(int_range 0 10_000)
@@ -537,6 +619,11 @@ let suites =
         Alcotest.test_case "parameters of a path" `Quick test_parameters_path;
         Alcotest.test_case "parameters weighted cycle" `Quick test_parameters_weighted_cycle;
         Alcotest.test_case "s exceeds D" `Quick test_s_vs_d_gap;
+        Alcotest.test_case "parameters disconnected" `Quick test_parameters_disconnected;
+        Alcotest.test_case "parameters memo" `Quick test_parameters_memo;
+        Alcotest.test_case "parameters overflow guard" `Quick test_parameters_overflow_guard;
+        Alcotest.test_case "parameters allocation gate" `Quick test_parameters_allocation;
+        qtest prop_parameters_match_oracle;
         qtest prop_dijkstra_triangle;
         qtest prop_dijkstra_edge_bound;
       ] );
