@@ -123,14 +123,33 @@ with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det --flat \
 echo "ci: det_dsf flat e2e smoke ok (path n=4096)"
 
 # Parameter-sweep scale smoke: the exact D/WD/s sweep on a path of 16384
-# nodes (s = n-1, n^2 heap operations) must finish inside the timeout and
-# report the known s.  A sweep that allocates per source or falls back to
-# boxed keys blows the budget.
+# nodes (s = n-1, about 2n^2/3 heap operations) must finish inside the
+# timeout and report the known s.  A sweep that allocates per source or
+# falls back to boxed keys blows the budget.
 with_timeout 60 dune exec bin/dsf_cli.exe -- params --topology path \
   --nodes 16384 > "$scratch/params_path16k.out"
 grep -q " s=16383 " "$scratch/params_path16k.out" || {
   echo "ci: params on path n=16384 did not report s=16383" >&2; exit 1; }
 echo "ci: parameter sweep scale smoke ok (path n=16384)"
+
+# The sweep's worst case: on a cycle every node has the same eccentricity,
+# so half the nodes need a BFS and each search settles most of the cycle.
+# It must fit the same budget and report the known D.
+with_timeout 60 dune exec bin/dsf_cli.exe -- params --topology cycle \
+  --nodes 16384 > "$scratch/params_cycle16k.out"
+grep -q " D=8192 " "$scratch/params_cycle16k.out" || {
+  echo "ci: params on cycle n=16384 did not report D=8192" >&2; exit 1; }
+echo "ci: parameter sweep worst-case smoke ok (cycle n=16384)"
+
+# Bad-flag smoke: an out-of-range flag must stop with a one-line error and
+# a nonzero exit, not an uncaught exception from inside a generator.
+if dune exec bin/dsf_cli.exe -- solve --nodes 0 > "$scratch/bad_flag.out" 2>&1; then
+  echo "ci: solve --nodes 0 exited 0" >&2; exit 1
+fi
+if grep -q "uncaught exception" "$scratch/bad_flag.out"; then
+  echo "ci: solve --nodes 0 raised an uncaught exception" >&2; exit 1
+fi
+echo "ci: bad-flag smoke ok (solve --nodes 0)"
 
 # Sanitizer-on flat e2e smoke: the same solve at n=1024 with the runtime
 # ownership sanitizer armed (DSF_SANITIZE=1 arms every run_flat in the

@@ -12,7 +12,22 @@ module Gen = Dsf_graph.Gen
 module Instance = Dsf_graph.Instance
 module Ledger = Dsf_congest.Ledger
 
+(* Flag checks for generated instances, so that a bad flag stops with a
+   one-line error naming it instead of an assertion inside a generator.
+   Under --file the generator flags are ignored and not checked. *)
+let flag_error fmt =
+  Format.kasprintf
+    (fun msg ->
+      Format.eprintf "dsf_cli: %s@." msg;
+      exit 2)
+    fmt
+
 let make_graph topology rng n max_w =
+  let min_n = if topology = "lollipop" then 6 else 2 in
+  if n < min_n then
+    flag_error "--nodes must be at least %d for --topology %s, got %d" min_n
+      topology n;
+  if max_w < 1 then flag_error "--max-weight must be at least 1, got %d" max_w;
   match topology with
   | "random" -> Gen.random_connected rng ~n ~extra_edges:n ~max_w
   | "geometric" -> Gen.random_geometric rng ~n ~radius:0.2 ~max_w
@@ -26,7 +41,7 @@ let make_graph topology rng n max_w =
       let cluster_size = max 4 (n / 4) in
       Gen.clustered rng ~clusters:4 ~cluster_size ~intra_extra:(cluster_size / 2)
         ~bridges:2 ~intra_w:(max 2 (max_w / 8)) ~bridge_w:max_w
-  | other -> invalid_arg ("unknown topology: " ^ other)
+  | other -> flag_error "--topology: unknown topology %S" other
 
 let load_or_generate file topology rng n t k max_w =
   match file with
@@ -39,7 +54,18 @@ let load_or_generate file topology rng n t k max_w =
           invalid_arg "input file has no label/request lines"
     end
   | None ->
+      if k < 1 then flag_error "--components must be at least 1, got %d" k;
+      if t < 2 * k then
+        flag_error
+          "--terminals must be at least twice --components (%d), got %d"
+          (2 * k) t;
       let g = make_graph topology rng n max_w in
+      (* After generation: grid rounds --nodes down to a square. *)
+      if t > Graph.n g then
+        flag_error
+          "--terminals must be at most %d, the node count of the %s graph, \
+           got %d"
+          (Graph.n g) topology t;
       let labels = Gen.spread_labels rng g ~t ~k in
       Instance.make_ic g labels
 

@@ -33,11 +33,26 @@ val all_pairs : Graph.t -> int array array
 val eccentricity_unweighted : Graph.t -> int -> int
 
 val parameters : Graph.t -> int * int * int
-(** [(d, wd, s)], exactly.  One all-sources sweep over the CSR view: per
-    source a BFS and a lexicographic (weight, hops) Dijkstra on packed int
-    keys, O(n·(m log n)) time and O(n + m) words of scratch per graph, with
-    no allocation per source.  The triple is memoized on the graph
-    ({!Graph.memo_parameters}), so later calls on the same graph, and
+(** [(d, wd, s)], exactly, from one kernel over the CSR view that visits
+    sources periphery inward (decreasing BFS level from a central node
+    found by a double sweep).  It relies on two facts:
+    - {e eccentricity bounds} for [D]: a BFS from [v] gives
+      ecc(w) <= ecc(v) + d(v,w) for every [w], so a source is searched
+      only while that bound exceeds the largest eccentricity found; and
+      two nodes within [l] of the centre are at most 2l apart, so the
+      visit stops at the first level [l] where 2l does not exceed it.  A
+      handful of BFSs usually settles [D].
+    - {e pair symmetry} for [WD] and [s]: least weight, and least hops
+      among least-weight paths, are symmetric on an undirected graph.  So
+      the lexicographic (weight, hops) Dijkstra on packed int keys from
+      each source stops once every later source is settled, and each
+      unordered pair is swept once.
+
+    The worst case is still O(n·(m log n)) time: on a cycle every node has
+    the same eccentricity, so half the sources get a BFS, and each search
+    settles about 3n/4 nodes on average.  Scratch is O(n + m) words per
+    graph, with no allocation per source.  The triple is memoized on the
+    graph ({!Graph.memo_parameters}), so later calls on the same graph, and
     {!diameter_unweighted} and {!diameter_weighted}, cost nothing.  Raises
     [Invalid_argument] if the graph is disconnected, or if its total weight
     exceeds [max_int lsr (ceil_log2 (n + 1) + 1)], where a packed

@@ -217,23 +217,72 @@ let oracle_parameters g =
   done;
   !d, !wd, !s
 
+(* Small graphs of every generator family: the fixed shapes get fresh
+   weights in [1, max_w].  Cycles are the kernel's worst case (every node
+   has the same eccentricity, so only the level cut-off skips BFSs); stars,
+   cliques and brooms put many nodes at one level from the centre. *)
+let small_graph seed family =
+  let r = rng seed in
+  let max_w = [| 1; 2; 16 |].(seed mod 3) in
+  let n = 2 + (seed mod 40) in
+  let reweight shape = Gen.reweight r ~max_w shape in
+  match family with
+  | 0 -> Gen.random_connected r ~n ~extra_edges:(seed mod 30) ~max_w
+  | 1 -> reweight (Gen.grid ~rows:(1 + (seed mod 6)) ~cols:(2 + (seed mod 7)))
+  | 2 -> reweight (Gen.path (2 + (seed mod 50)))
+  | 3 -> reweight (Gen.lollipop ~clique:(2 + (seed mod 6)) ~tail:(seed mod 12))
+  | 4 -> reweight (Gen.cycle (3 + (seed mod 40)))
+  | 5 -> reweight (Gen.star n)
+  | 6 -> reweight (Gen.complete (2 + (seed mod 12)))
+  | 7 -> Gen.random_geometric r ~n ~radius:0.3 ~max_w
+  | 8 ->
+      Gen.clustered r ~clusters:(1 + (seed mod 4)) ~cluster_size:(2 + (seed mod 8))
+        ~intra_extra:(seed mod 5) ~bridges:(1 + (seed mod 3)) ~intra_w:max_w
+        ~bridge_w:(4 * max_w)
+  | _ ->
+      reweight
+        (fst
+           (Gen.broom ~tail:(seed mod 10)
+              ~arm_lengths:[ 1 + (seed mod 4); 2 + (seed mod 5) ]))
+
+let families = 10
+
 let prop_parameters_match_oracle =
-  let max_ws = [| 1; 2; 16 |] in
   QCheck.Test.make ~name:"parameters kernel = single-source oracle maxima"
-    ~count:60
-    QCheck.(pair (int_range 0 10_000) (int_range 0 3))
+    ~count:200
+    QCheck.(pair (int_range 0 10_000) (int_range 0 (families - 1)))
     (fun (seed, family) ->
-      let r = rng seed in
-      let max_w = max_ws.(seed mod 3) in
-      let shape =
-        match family with
-        | 0 -> Gen.random_connected r ~n:(2 + (seed mod 40)) ~extra_edges:(seed mod 30) ~max_w
-        | 1 -> Gen.grid ~rows:(1 + (seed mod 6)) ~cols:(2 + (seed mod 7))
-        | 2 -> Gen.path (2 + (seed mod 50))
-        | _ -> Gen.lollipop ~clique:(2 + (seed mod 6)) ~tail:(seed mod 12)
-      in
-      let g = if family = 0 then shape else Gen.reweight r ~max_w shape in
+      let g = small_graph seed family in
       Paths.parameters g = oracle_parameters g)
+
+(* The source order and the pruning depend on node ids; the triple must
+   not. *)
+let prop_parameters_relabel_invariant =
+  QCheck.Test.make ~name:"parameters invariant under node relabelling"
+    ~count:200
+    QCheck.(pair (int_range 0 10_000) (int_range 0 (families - 1)))
+    (fun (seed, family) ->
+      let g = small_graph seed family in
+      let n = Graph.n g in
+      let perm = Array.init n Fun.id in
+      Dsf_util.Rng.shuffle (rng (seed + 1)) perm;
+      let relabelled =
+        Graph.make_arr ~n
+          (Array.map
+             (fun (e : Graph.edge) -> perm.(e.u), perm.(e.v), e.w)
+             (Graph.edges g))
+      in
+      Paths.parameters relabelled = Paths.parameters g)
+
+let test_parameters_tiny () =
+  let triple = Alcotest.(triple int int int) in
+  check triple "one node" (0, 0, 0) (Paths.parameters (Graph.make ~n:1 []));
+  check triple "one edge" (1, 7, 1) (Paths.parameters (Graph.make ~n:2 [ 0, 1, 7 ]));
+  (* Fewer edges than nodes: the disconnected check comes before any
+     scratch sized by the edge count is filled per node. *)
+  Alcotest.check_raises "isolated nodes"
+    (Invalid_argument "Paths: disconnected graph") (fun () ->
+      ignore (Paths.parameters (Graph.make ~n:3 [])))
 
 let test_parameters_disconnected () =
   let g = Graph.make ~n:4 [ 0, 1, 1; 2, 3, 1 ] in
@@ -623,7 +672,9 @@ let suites =
         Alcotest.test_case "parameters memo" `Quick test_parameters_memo;
         Alcotest.test_case "parameters overflow guard" `Quick test_parameters_overflow_guard;
         Alcotest.test_case "parameters allocation gate" `Quick test_parameters_allocation;
+        Alcotest.test_case "parameters n<=3" `Quick test_parameters_tiny;
         qtest prop_parameters_match_oracle;
+        qtest prop_parameters_relabel_invariant;
         qtest prop_dijkstra_triangle;
         qtest prop_dijkstra_edge_bound;
       ] );
