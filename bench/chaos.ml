@@ -56,12 +56,7 @@ let run () =
 type soak_leg = {
   sname : string;
   run :
-    'a.
-    flat:bool ->
-    jobs:int ->
-    chaos:Fault.chaos ->
-    (masked:bool -> retrans:int -> dropped:int -> 'a) ->
-    'a;
+    'a. ctx:Sim.ctx -> (masked:bool -> retrans:int -> dropped:int -> 'a) -> 'a;
 }
 
 let soak () =
@@ -99,10 +94,10 @@ let soak () =
     {
       sname;
       run =
-        (fun ~flat ~jobs ~chaos k ->
+        (fun ~ctx k ->
           let states, stats =
-            Fault.sim_run ~max_rounds ~flat ~jobs ~chaos
-              ~recovery:(Fault.immutable ()) g proto
+            Fault.sim_run ~max_rounds ~ctx ~recovery:(Fault.immutable ()) g
+              proto
           in
           k ~masked:(states = lossless) ~retrans:stats.Sim.retransmissions
             ~dropped:stats.Sim.dropped);
@@ -117,7 +112,9 @@ let soak () =
       mk "leader" (Dsf_congest.Leader.protocol g);
     ]
   in
-  let engines = [ "classic", false, 1; "flat j1", true, 1; "flat j4", true, 4 ] in
+  let engines =
+    [ "classic", Sim.Active, 1; "flat j1", Sim.Flat, 1; "flat j4", Sim.Flat, 4 ]
+  in
   let failures = ref 0 in
   List.iter
     (fun (cname, plan) ->
@@ -125,9 +122,11 @@ let soak () =
       List.iter
         (fun leg ->
           List.iter
-            (fun (ename, flat, jobs) ->
+            (fun (ename, engine, jobs) ->
               match
-                leg.run ~flat ~jobs ~chaos
+                leg.run
+                  ~ctx:
+                    { Sim.default_ctx with engine; jobs; chaos = Some chaos }
                   (fun ~masked ~retrans ~dropped ->
                     Format.printf
                       "%-9s %-14s %-8s %-8s retrans %6d, dropped %6d@."

@@ -64,42 +64,36 @@ let shared_tree =
   lazy (fst (Dsf_congest.Bfs.build (Lazy.force shared_graph) ~root:0))
 
 (* Engine-pair benchmarks drive whole entry points (Bellman_ford.sssp,
-   Det_dsf.run, ...) through both engines; like the differential suite,
-   that is only possible via the global engine shim — the per-run
-   [?reference] parameter is not threaded through those APIs on purpose.
-   Single-domain: the bench harness never runs this inside a pool task. *)
-let in_reference f =
-  Sim.use_reference_engine := true;
-  Fun.protect ~finally:(fun () -> Sim.use_reference_engine := false) f
-[@@lint.allow "sim-globals"]
-
-let in_flat f =
-  Sim.use_flat_engine := true;
-  Fun.protect ~finally:(fun () -> Sim.use_flat_engine := false) f
-[@@lint.allow "sim-globals"]
+   Tree_ops.upcast, ...) through each engine by their run context.  The
+   flat leg runs a primitive's native port where it has one, the boxed
+   adapter elsewhere. *)
+let reference_ctx = { Sim.default_ctx with engine = Reference }
+let flat_ctx jobs = { Sim.default_ctx with engine = Flat; jobs }
 
 (* Each case is a sparse-activity CONGEST workload returning its stats; it
    is benchmarked once on the active-set engine and once on the kept seed
    loop.  The acceptance metric of the active-set scheduler PR is the
    speedup column derived from these pairs. *)
-let sim_cases : (string * (unit -> Sim.stats)) list =
+let sim_cases : (string * (ctx:Sim.ctx -> Sim.stats)) list =
   [
     ( "bf random n=40",
-      fun () ->
-        snd (Dsf_congest.Bellman_ford.sssp (Lazy.force shared_graph) ~src:0)
+      fun ~ctx ->
+        snd
+          (Dsf_congest.Bellman_ford.sssp ~ctx (Lazy.force shared_graph) ~src:0)
     );
     ( "bf path n=256",
-      fun () -> snd (Dsf_congest.Bellman_ford.sssp (Lazy.force path256) ~src:0)
+      fun ~ctx ->
+        snd (Dsf_congest.Bellman_ford.sssp ~ctx (Lazy.force path256) ~src:0)
     );
     ( "upcast n=40",
-      fun () ->
+      fun ~ctx ->
         snd
-          (Dsf_congest.Tree_ops.upcast (Lazy.force shared_graph)
+          (Dsf_congest.Tree_ops.upcast ~ctx (Lazy.force shared_graph)
              ~tree:(Lazy.force shared_tree)
              ~items:(fun v -> [ v; v + 100; v + 200 ])
              ~bits:(fun x -> Dsf_util.Bitsize.int_bits (max 1 x))) );
     ( "filtered_upcast n=40",
-      fun () ->
+      fun ~ctx ->
         let g = Lazy.force shared_graph in
         let items v =
           Array.to_list (Dsf_graph.Graph.edges g)
@@ -109,7 +103,7 @@ let sim_cases : (string * (unit -> Sim.stats)) list =
                  else None)
         in
         snd
-          (Dsf_congest.Pipeline.filtered_upcast g
+          (Dsf_congest.Pipeline.filtered_upcast ~ctx g
              ~tree:(Lazy.force shared_tree) ~vn:40 ~pre:[] ~items ~cmp:compare
              ~bits:(fun _ -> 30)) );
   ]
@@ -120,20 +114,23 @@ let sim_tests =
       [
         Test.make
           ~name:(Printf.sprintf "sim/%s [active]" nm)
-          (Staged.stage (fun () -> ignore (thunk ())));
+          (Staged.stage (fun () -> ignore (thunk ~ctx:Sim.default_ctx)));
         Test.make
           ~name:(Printf.sprintf "sim/%s [reference]" nm)
-          (Staged.stage (fun () -> ignore (in_reference thunk)));
+          (Staged.stage (fun () -> ignore (thunk ~ctx:reference_ctx)));
         Test.make
           ~name:(Printf.sprintf "sim/%s [flat]" nm)
-          (Staged.stage (fun () -> ignore (in_flat thunk)));
+          (Staged.stage (fun () -> ignore (thunk ~ctx:(flat_ctx 1))));
       ])
     sim_cases
 
 (* Rounds per run, for the rounds/s column: one untimed execution per case
    (both engines execute the same schedule — test_sim_equiv proves it). *)
 let sim_rounds =
-  lazy (List.map (fun (nm, thunk) -> nm, (thunk ()).Sim.rounds) sim_cases)
+  lazy
+    (List.map
+       (fun (nm, thunk) -> nm, (thunk ~ctx:Sim.default_ctx).Sim.rounds)
+       sim_cases)
 
 let rounds_of name =
   List.find_map
@@ -352,7 +349,7 @@ let scaling_workloads : (string * (jobs:int -> int)) list =
       fun ~jobs ->
         let rounds =
           Dsf_util.Pool.map_chunked ~jobs
-            (fun (_, thunk) -> (thunk ()).Sim.rounds)
+            (fun (_, thunk) -> (thunk ~ctx:Sim.default_ctx).Sim.rounds)
             (Array.of_list sim_cases)
         in
         Array.fold_left ( + ) 0 rounds );
@@ -471,7 +468,7 @@ let flat_tree =
     | Some t -> t
     | None ->
         let t =
-          fst (Dsf_congest.Bfs.build (flat_graph n) ~root:0 ~flat:true)
+          fst (Dsf_congest.Bfs.build ~ctx:(flat_ctx 1) (flat_graph n) ~root:0)
         in
         Hashtbl.replace cache n t;
         t
@@ -492,7 +489,7 @@ let flat_workloads :
         ( (fun () -> snd (Sim.run g (Dsf_congest.Bfs.protocol ~root:0))),
           fun jobs ->
             snd
-              (Sim.run_flat ~jobs g
+              (Sim.run_flat ~ctx:(flat_ctx jobs) g
                  (Dsf_congest.Bfs.flat_protocol ~n:(Dsf_graph.Graph.n g)
                     ~root:0))
         ) );
@@ -502,9 +499,10 @@ let flat_workloads :
         let g = flat_graph n in
         let sources = [ 0, 0; n - 1, 0 ] in
         ( (fun () ->
-            snd (Dsf_congest.Bellman_ford.run ~flat:false g ~sources)),
+            snd (Dsf_congest.Bellman_ford.run g ~sources)),
           fun jobs ->
-            snd (Dsf_congest.Bellman_ford.run ~flat:true ~jobs g ~sources) )
+            snd
+              (Dsf_congest.Bellman_ford.run ~ctx:(flat_ctx jobs) g ~sources) )
     );
     ( "region_bf path",
       max_int,
@@ -515,20 +513,20 @@ let flat_workloads :
         in
         let frozen = Array.make n false in
         ( (fun () ->
-            snd (Dsf_core.Region_bf.run ~flat:false g ~sources ~frozen)),
+            snd (Dsf_core.Region_bf.run g ~sources ~frozen)),
           fun jobs ->
-            snd (Dsf_core.Region_bf.run ~flat:true ~jobs g ~sources ~frozen)
+            snd
+              (Dsf_core.Region_bf.run ~ctx:(flat_ctx jobs) g ~sources ~frozen)
         ) );
     ( "upcast path",
       max_int,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
         let items v = if v > 0 && v mod 16 = 0 then [ v ] else [] in
-        let run flat jobs =
-          snd (Dsf_congest.Tree_ops.upcast ~flat ?jobs g ~tree ~items
-                 ~bits:item_bits)
+        let run ?ctx () =
+          snd (Dsf_congest.Tree_ops.upcast ?ctx g ~tree ~items ~bits:item_bits)
         in
-        ((fun () -> run false None), fun jobs -> run true (Some jobs)) );
+        ((fun () -> run ()), fun jobs -> run ~ctx:(flat_ctx jobs) ()) );
     ( "filtered_upcast path",
       4096,
       fun n ->
@@ -538,12 +536,12 @@ let flat_workloads :
             [ { Dsf_congest.Pipeline.key = (1, v); a = v - 1; b = v } ]
           else []
         in
-        let run flat jobs =
+        let run ?ctx () =
           snd
-            (Dsf_congest.Pipeline.filtered_upcast ~flat ?jobs g ~tree ~vn:n
-               ~pre:[] ~items ~cmp:compare ~bits:(fun _ -> 30))
+            (Dsf_congest.Pipeline.filtered_upcast ?ctx g ~tree ~vn:n ~pre:[]
+               ~items ~cmp:compare ~bits:(fun _ -> 30))
         in
-        ((fun () -> run false None), fun jobs -> run true (Some jobs)) );
+        ((fun () -> run ()), fun jobs -> run ~ctx:(flat_ctx jobs) ()) );
     ( "token_flood path",
       4096,
       fun n ->
@@ -552,18 +550,20 @@ let flat_workloads :
         let seeds = Array.make n false in
         seeds.(n - 1) <- true;
         ( (fun () ->
-            snd (Dsf_core.Select.token_flood ~flat:false g ~parent ~seeds)),
+            snd (Dsf_core.Select.token_flood g ~parent ~seeds)),
           fun jobs ->
-            snd (Dsf_core.Select.token_flood ~flat:true ~jobs g ~parent ~seeds)
+            snd
+              (Dsf_core.Select.token_flood ~ctx:(flat_ctx jobs) g ~parent
+                 ~seeds)
         ) );
     ( "exchange path",
       max_int,
       fun n ->
         let g = flat_graph n in
         ( (fun () ->
-            Dsf_congest.Exchange.all_neighbors ~flat:false g ~payload_bits:9),
+            Dsf_congest.Exchange.all_neighbors g ~payload_bits:9),
           fun jobs ->
-            Dsf_congest.Exchange.all_neighbors ~flat:true ~jobs g
+            Dsf_congest.Exchange.all_neighbors ~ctx:(flat_ctx jobs) g
               ~payload_bits:9 ) );
   ]
 
@@ -829,11 +829,12 @@ let flat_check () =
   in
   let g40 = Lazy.force shared_graph in
   let p256 = Lazy.force path256 in
-  let bf g = Dsf_congest.Bellman_ford.sssp g ~src:0 in
-  check "bellman-ford random n=40" (bf g40 = in_flat (fun () -> bf g40));
-  check "bellman-ford path n=256" (bf p256 = in_flat (fun () -> bf p256));
-  let bfs g = Dsf_congest.Bfs.build g ~root:0 in
-  check "bfs random n=40" (bfs g40 = in_flat (fun () -> bfs g40));
+  let flat = flat_ctx 1 in
+  let bf ?ctx g = Dsf_congest.Bellman_ford.sssp ?ctx g ~src:0 in
+  check "bellman-ford random n=40" (bf g40 = bf ~ctx:flat g40);
+  check "bellman-ford path n=256" (bf p256 = bf ~ctx:flat p256);
+  let bfs ?ctx g = Dsf_congest.Bfs.build ?ctx g ~root:0 in
+  check "bfs random n=40" (bfs g40 = bfs ~ctx:flat g40);
   (* The native flat BFS must reproduce the classic tree and stats. *)
   let tree, stats = bfs p256 in
   let fstates, fstats =
@@ -931,7 +932,9 @@ let run_profiled_workloads tel =
         (fun (label, plan) ->
           Telemetry.span tel label (fun () ->
               ignore
-                (Dsf_congest.Fault.run_hardened ~telemetry:tel ~plan g proto)))
+                (Dsf_congest.Fault.run_hardened
+                   ~ctx:{ Sim.default_ctx with telemetry = Some tel }
+                   ~plan g proto)))
         [
           "drop=0.00", Dsf_congest.Fault.empty;
           "drop=0.10", Dsf_congest.Fault.plan ~drop:0.1 ~seed:808 ();
@@ -1035,7 +1038,11 @@ let recovery_leader ~windows =
     timed (fun () ->
         Sim.run
           ~halt:(Dsf_congest.Fault.quiescent proto)
-          ~faults:(Dsf_congest.Fault.instantiate plan)
+          ~ctx:
+            {
+              Sim.default_ctx with
+              faults = Some (Dsf_congest.Fault.instantiate plan);
+            }
           g hardened)
   in
   let rs = Dsf_congest.Fault.recovery_of hs in

@@ -32,10 +32,9 @@ fi
 with_timeout 900 dune build
 
 # Static analysis: dsf-lint's repo invariants (no global mutable state in
-# lib/, no deprecated Sim globals outside the differential suites, no
-# nondeterminism sources, CONGEST message discipline, no catch-all
-# handlers, no deprecated Fault.drop_only).  Fails on any finding not in
-# lint.baseline (which ships empty and must stay empty).
+# lib/, no nondeterminism sources, CONGEST message discipline, no
+# catch-all handlers, no unchecked array access).  Fails on any finding
+# not in lint.baseline (which ships empty and must stay empty).
 with_timeout 300 dune build @lint
 
 # Typed static analysis: the Typedtree rules over the libraries' .cmt
@@ -143,13 +142,18 @@ echo "ci: parameter sweep worst-case smoke ok (cycle n=16384)"
 
 # Bad-flag smoke: an out-of-range flag must stop with a one-line error and
 # a nonzero exit, not an uncaught exception from inside a generator.
-if dune exec bin/dsf_cli.exe -- solve --nodes 0 > "$scratch/bad_flag.out" 2>&1; then
-  echo "ci: solve --nodes 0 exited 0" >&2; exit 1
-fi
-if grep -q "uncaught exception" "$scratch/bad_flag.out"; then
-  echo "ci: solve --nodes 0 raised an uncaught exception" >&2; exit 1
-fi
-echo "ci: bad-flag smoke ok (solve --nodes 0)"
+for flag in "--nodes 0" "--jobs 0"; do
+  # $flag is split on purpose: it is a flag and its value.
+  # shellcheck disable=SC2086
+  if dune exec bin/dsf_cli.exe -- solve $flag > "$scratch/bad_flag.out" 2>&1
+  then
+    echo "ci: solve $flag exited 0" >&2; exit 1
+  fi
+  if grep -q "uncaught exception" "$scratch/bad_flag.out"; then
+    echo "ci: solve $flag raised an uncaught exception" >&2; exit 1
+  fi
+done
+echo "ci: bad-flag smoke ok (solve --nodes 0, solve --jobs 0)"
 
 # Sanitizer-on flat e2e smoke: the same solve at n=1024 with the runtime
 # ownership sanitizer armed (DSF_SANITIZE=1 arms every run_flat in the

@@ -22,6 +22,10 @@ let flag_error fmt =
       exit 2)
     fmt
 
+(* Checked under --file too: it sizes the domain pool, not the instance. *)
+let check_jobs jobs =
+  if jobs < 1 then flag_error "--jobs must be at least 1, got %d" jobs
+
 let make_graph topology rng n max_w =
   let min_n = if topology = "lollipop" then 6 else 2 in
   if n < min_n then
@@ -106,6 +110,7 @@ let write_trace = function
 
 let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
     flat chaos_seed record trace trace_format =
+  check_jobs jobs;
   let recorder =
     Option.map (fun _ -> Dsf_congest.Recorder.create ()) record
   in
@@ -233,6 +238,7 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   | _ -> ()
 
 let compare_cmd topology n t k max_w seed file jobs trace trace_format =
+  check_jobs jobs;
   let sink = trace_sink trace trace_format in
   let telemetry = telemetry_of_sink sink in
   let rng = Dsf_util.Rng.create seed in
@@ -297,7 +303,9 @@ let gadget_cmd kind universe seed intersect =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.ic_side
           (fun ~observer ->
             let out =
-              Dsf_core.Transform.minimalize ~observer
+              Dsf_core.Transform.minimalize
+                ~ctx:
+                  { Dsf_congest.Sim.default_ctx with observer = Some observer }
                 gad.Dsf_lower_bound.Gadgets.ic
             in
             Dsf_core.Det_dsf.run ~observer out.Dsf_core.Transform.value)
@@ -314,7 +322,9 @@ let gadget_cmd kind universe seed intersect =
         Dsf_lower_bound.Gadgets.cut_bits gad.Dsf_lower_bound.Gadgets.cr_side
           (fun ~observer ->
             let out =
-              Dsf_core.Transform.cr_to_ic ~observer
+              Dsf_core.Transform.cr_to_ic
+                ~ctx:
+                  { Dsf_congest.Sim.default_ctx with observer = Some observer }
                 gad.Dsf_lower_bound.Gadgets.cr
             in
             Dsf_core.Det_dsf.run ~observer out.Dsf_core.Transform.value)

@@ -105,8 +105,8 @@ let protocol ?weight_of ?radius g ~sources =
    chain is a simple path (a repeated node would have had to accept a
    lexicographically worse label), so hops <= n - 1 and the bound is
    sound.  When the three widths do not fit an immediate int, the
-   constructor declines ([None]) and [run ~flat:true] falls back to the
-   classic protocol through the flat engine's boxed adapter. *)
+   constructor declines ([None]) and [run] on the flat engine falls back
+   to the classic protocol through its boxed adapter. *)
 type flat_state = {
   mutable fdist : int;
   mutable fsrc : int;
@@ -228,8 +228,7 @@ let flat_protocol ?weight_of ?radius g ~sources =
     end
   end
 
-let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?flat ?jobs
-    ?chaos g ~sources =
+let run ?weight_of ?radius ?max_rounds ?(ctx = Sim.default_ctx) g ~sources =
   let n = Graph.n g in
   let dist = Array.make n max_int in
   let src_of = Array.make n (-1) in
@@ -244,16 +243,15 @@ let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?flat ?jobs
     end
   in
   let native =
-    if Option.is_none chaos && flat = Some true then
-      flat_protocol ?weight_of ?radius g ~sources
+    if Sim.native_flat ctx then flat_protocol ?weight_of ?radius g ~sources
     else None
   in
   let stats =
     match native with
     | Some fp ->
         let states, stats =
-          Telemetry.span_opt telemetry "bellman_ford" (fun () ->
-              Sim.run_flat ?max_rounds ?observer ?faults ?telemetry ?jobs g fp)
+          Telemetry.span_opt ctx.telemetry "bellman_ford" (fun () ->
+              Sim.run_flat ?max_rounds ~ctx g fp)
         in
         Array.iteri
           (fun v st -> fill ~d:st.fdist ~s:st.fsrc ~p:st.fparent ~h:st.fhops v)
@@ -262,9 +260,9 @@ let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?flat ?jobs
     | None ->
         let proto = protocol ?weight_of ?radius g ~sources in
         let states, stats =
-          Telemetry.span_opt telemetry "bellman_ford" (fun () ->
-              Fault.sim_run ?max_rounds ?observer ?faults ?telemetry ?flat
-                ?jobs ?chaos ~recovery:(Fault.immutable ()) g proto)
+          Telemetry.span_opt ctx.telemetry "bellman_ford" (fun () ->
+              Fault.sim_run ?max_rounds ~ctx ~recovery:(Fault.immutable ()) g
+                proto)
         in
         Array.iteri
           (fun v (st : state) ->
@@ -274,5 +272,4 @@ let run ?weight_of ?radius ?max_rounds ?observer ?faults ?telemetry ?flat ?jobs
   in
   { dist; src_of; parent; hops; rounds = stats.Sim.rounds }, stats
 
-let sssp ?observer ?telemetry ?flat ?jobs g ~src =
-  run ?observer ?telemetry ?flat ?jobs g ~sources:[ src, 0 ]
+let sssp ?ctx g ~src = run ?ctx g ~sources:[ src, 0 ]

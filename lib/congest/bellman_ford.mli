@@ -49,19 +49,14 @@ val flat_protocol :
     incoming edge weights resolve through the CSR view.  Rounds, messages,
     bits, and final labels are bit-identical to {!protocol} (differential
     suite enforced).  Returns [None] when the widths exceed an immediate
-    int; {!run}[ ~flat:true] then falls back to the classic protocol
-    through the flat engine's boxed adapter. *)
+    int; {!run} on the flat engine then falls back to the classic
+    protocol through the boxed adapter. *)
 
 val run :
   ?weight_of:(int -> int) ->
   ?radius:int ->
   ?max_rounds:int ->
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   sources:(int * int) list ->
   result * Sim.stats
@@ -69,18 +64,14 @@ val run :
     [weight_of eid] overrides the weight of edge [eid] (must be >= 0; zero
     weights model edges inside contracted moats).  [radius r] discards any
     path of distance > [r].  Ties are broken towards the smaller source id,
-    then the smaller parent id.  [telemetry] profiles the run under a
-    ["bellman_ford"] span.  [~flat:true] runs the native {!flat_protocol}
-    on {!Sim.run_flat} with [?jobs] domains (boxed adapter fallback when it
-    declines); [~flat:false] forces the classic active engine; omitting
-    [flat] defers to {!Sim.run}'s engine selection.  [faults] injects a
-    fault plan (active or flat engine only). *)
+    then the smaller parent id.  [ctx.telemetry] profiles the run under a
+    ["bellman_ford"] span.  A {!Sim.native_flat} context runs the native
+    {!flat_protocol} on {!Sim.run_flat} (boxed adapter fallback when it
+    declines); any other runs the classic protocol through
+    {!Fault.sim_run} on [ctx.engine]. *)
 
 val sssp :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   src:int ->
   result * Sim.stats

@@ -141,18 +141,18 @@ let tree_of_parent_depth ~root ~parent ~depth =
   let height = Array.fold_left max 0 depth in
   { root; parent; depth; children; height }
 
-let build ?observer ?telemetry ?flat ?jobs ?chaos g ~root =
+let build ?(ctx = Sim.default_ctx) g ~root =
   let n = Graph.n g in
   (* Precondition check: on a disconnected graph the flood never reaches
      everyone and the simulation would spin to its round limit. *)
   if not (Graph.is_connected g) then
     invalid_arg "Bfs.build: disconnected graph";
-  if Option.is_none chaos && flat = Some true then begin
+  if Sim.native_flat ctx then begin
     (* Native port: run on the flat engine directly and decode the packed
        states.  Tree and stats are bit-identical to the classic path. *)
     let states, stats =
-      Telemetry.span_opt telemetry "bfs" (fun () ->
-          Sim.run_flat ?observer ?telemetry ?jobs g (flat_protocol ~n ~root))
+      Telemetry.span_opt ctx.telemetry "bfs" (fun () ->
+          Sim.run_flat ~ctx g (flat_protocol ~n ~root))
     in
     let parent = Array.make n (-1) in
     let depth = Array.make n 0 in
@@ -168,9 +168,8 @@ let build ?observer ?telemetry ?flat ?jobs ?chaos g ~root =
   end
   else begin
   let states, stats =
-    Telemetry.span_opt telemetry "bfs" (fun () ->
-        Fault.sim_run ?observer ?telemetry ?flat ?jobs ?chaos
-          ~recovery:(Fault.immutable ()) g (protocol ~root))
+    Telemetry.span_opt ctx.telemetry "bfs" (fun () ->
+        Fault.sim_run ~ctx ~recovery:(Fault.immutable ()) g (protocol ~root))
   in
   let parent = Array.make n (-1) in
   let depth = Array.make n 0 in

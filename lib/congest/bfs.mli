@@ -41,21 +41,15 @@ val flat_state_parent_depth : n:int -> int -> (int * int) option
     state came from. *)
 
 val build :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   root:int ->
   tree * Sim.stats
-(** Raises [Invalid_argument] if the graph is disconnected.  [observer]
-    taps this run's messages (per-run, domain-safe); [telemetry] profiles
-    the flood under a ["bfs"] span.  [~flat:true] runs the native
-    {!flat_protocol} on {!Sim.run_flat} (with [?jobs] domains) —
-    bit-identical tree, stats, and observer trace; [~flat:false] forces
-    the classic active engine; omitting [flat] defers to {!Sim.run}'s
-    engine selection (including the deprecated shims). *)
+(** Raises [Invalid_argument] if the graph is disconnected.
+    [ctx.telemetry] profiles the flood under a ["bfs"] span.  A
+    {!Sim.native_flat} context runs the native {!flat_protocol} on
+    {!Sim.run_flat} — bit-identical tree, stats, and observer trace; any
+    other runs {!protocol} through {!Fault.sim_run} on [ctx.engine]. *)
 
 val max_id_root : Dsf_graph.Graph.t -> int
 (** The conventional root choice of the paper's appendix: the node with the

@@ -5,11 +5,13 @@
     already-selected forest edges" (Steps 3bi/3biv of Section 4.2, Lemma
     F.4).  These helpers simulate exactly that: nodes flood improving
     values over the edges enabled by [mask]; a component of diameter d
-    stabilizes in ~d rounds, all components in parallel. *)
+    stabilizes in ~d rounds, all components in parallel.
+
+    The gossip always runs on the active engine and takes only [ctx]'s
+    observer and telemetry. *)
 
 val gossip_extremum :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   mask:bool array ->
   values:(int -> 'a option) ->
@@ -21,8 +23,7 @@ val gossip_extremum :
     over its mask-component ([None] if no member has a value). *)
 
 val leaders :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   mask:bool array ->
   int array * Sim.stats
@@ -30,8 +31,7 @@ val leaders :
     leader convention of the paper's appendix. *)
 
 val component_min_item :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   mask:bool array ->
   values:(int -> 'a option) ->

@@ -34,19 +34,11 @@ let flat_protocol ~payload_bits : (int, int) Sim.flat_protocol =
     fp_wake = Some Sim.never;
   }
 
-let all_neighbors ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
-    ~payload_bits =
-  if Option.is_none chaos && flat = Some true then
-    let _, stats =
-      Telemetry.span_opt telemetry "neighbor_exchange" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g
-            (flat_protocol ~payload_bits))
-    in
-    stats
-  else
-    let _, stats =
-      Telemetry.span_opt telemetry "neighbor_exchange" (fun () ->
-          Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
-            ~recovery:(Fault.immutable ()) g (protocol ~payload_bits))
-    in
-    stats
+let all_neighbors ?(ctx = Sim.default_ctx) g ~payload_bits =
+  Telemetry.span_opt ctx.telemetry "neighbor_exchange" (fun () ->
+      if Sim.native_flat ctx then
+        snd (Sim.run_flat ~ctx g (flat_protocol ~payload_bits))
+      else
+        snd
+          (Fault.sim_run ~ctx ~recovery:(Fault.immutable ()) g
+             (protocol ~payload_bits)))

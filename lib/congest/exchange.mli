@@ -14,21 +14,13 @@ val flat_protocol : payload_bits:int -> (int, int) Sim.flat_protocol
     messages, otherwise identical. *)
 
 val all_neighbors :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   payload_bits:int ->
   Sim.stats
 (** Simulates the exchange; [payload_bits] is the per-message size (for a
-    region announcement: owner id + offset + activity bit).  [observer]
-    taps the run per-run (domain-safe); [faults] injects a fault plan
-    (see {!Fault}); [telemetry] profiles the run under a
-    ["neighbor_exchange"] span.  [~flat:true] runs the native
-    {!flat_protocol} on {!Sim.run_flat} with [?jobs] domains
-    (bit-identical stats and traces); [~flat:false] forces the classic
-    active engine; omitting [flat] defers to {!Sim.run}'s engine
-    selection. *)
+    region announcement: owner id + offset + activity bit).
+    [ctx.telemetry] profiles the run under a ["neighbor_exchange"] span.
+    A {!Sim.native_flat} context runs the native {!flat_protocol} on
+    {!Sim.run_flat} (bit-identical stats and traces); any other runs
+    {!protocol} through {!Fault.sim_run} on [ctx.engine]. *)

@@ -5,7 +5,7 @@ module Bitsize = Dsf_util.Bitsize
 (* Plans: a pure, seeded description of how the network misbehaves.         *)
 (* ----------------------------------------------------------------------- *)
 
-type plan = {
+type plan = Sim.plan = {
   seed : int;
   drop : float;
   duplicate : float;
@@ -37,7 +37,6 @@ let is_empty p =
   p.drop = 0. && p.duplicate = 0. && p.link_down = [] && p.crashes = []
 
 let maskable ?(with_recovery = false) p = with_recovery || p.crashes = []
-let drop_only p = p.crashes = [] && p.link_down = []
 
 (* Stateless PRF: every (round, src, dst, salt) tuple hashes to an
    independent-looking uniform draw, so fault decisions are deterministic
@@ -486,15 +485,19 @@ let note_hardened telemetry states (stats : Sim.stats) =
   | None -> ());
   { stats with Sim.retransmissions = retrans }
 
-let run_hardened ?max_rounds ?rto ?rto_cap ?observer ?telemetry
+let faults_of plan = if is_empty plan then None else Some (instantiate plan)
+
+let run_hardened ?max_rounds ?rto ?rto_cap ?(ctx = Sim.default_ctx)
     ?(plan = empty) ?recovery g proto =
-  let faults = if is_empty plan then None else Some (instantiate plan) in
   let hardened = harden ?rto ?rto_cap ?recovery proto in
   let halt = quiescent proto in
+  let telemetry = ctx.Sim.telemetry in
   let states, stats =
     Telemetry.span_opt telemetry "hardened" (fun () ->
         let states, stats =
-          Sim.run ?max_rounds ~halt ?observer ?faults ?telemetry g hardened
+          Sim.run ?max_rounds ~halt
+            ~ctx:{ ctx with faults = faults_of plan }
+            g hardened
         in
         states, note_hardened telemetry states stats)
   in
@@ -502,19 +505,18 @@ let run_hardened ?max_rounds ?rto ?rto_cap ?observer ?telemetry
 
 (* ----------------------------------------------------------- chaos runs *)
 
-type chaos = { cplan : plan; crto : int; crto_cap : int }
+type chaos = Sim.chaos = { cplan : plan; crto : int; crto_cap : int }
 
 let chaos ?(rto = default_rto) ?(rto_cap = default_rto_cap) cplan =
   { cplan; crto = rto; crto_cap = rto_cap }
 
-let sim_run ?max_rounds ?halt ?observer ?faults ?telemetry ?flat ?jobs ?chaos
-    ?recovery g proto =
-  match chaos with
-  | None -> Sim.run ?max_rounds ?halt ?observer ?faults ?telemetry ?flat ?jobs g proto
+let sim_run ?max_rounds ?halt ?(ctx = Sim.default_ctx) ?recovery g proto =
+  match ctx.Sim.chaos with
+  | None -> Sim.run ?max_rounds ?halt ~ctx g proto
   | Some c ->
-      if Option.is_some faults then
-        invalid_arg "Fault.sim_run: ?faults and ?chaos are mutually exclusive";
-      let faults = if is_empty c.cplan then None else Some (instantiate c.cplan) in
+      if Option.is_some ctx.faults then
+        invalid_arg "Fault.sim_run: faults and chaos are mutually exclusive";
+      let telemetry = ctx.telemetry in
       let hardened = harden ~rto:c.crto ~rto_cap:c.crto_cap ?recovery proto in
       let user_halt = halt in
       let halt hs =
@@ -532,7 +534,8 @@ let sim_run ?max_rounds ?halt ?observer ?faults ?telemetry ?flat ?jobs ?chaos
       in
       Telemetry.span_opt telemetry "hardened" (fun () ->
           let states, stats =
-            Sim.run ?max_rounds ~halt ?observer ?faults ?telemetry ?flat ?jobs
+            Sim.run ?max_rounds ~halt
+              ~ctx:{ ctx with faults = faults_of c.cplan; chaos = None }
               g hardened
           in
           let stats = note_hardened telemetry states stats in

@@ -6,8 +6,8 @@
     - {b Plans}: a {!plan} is a pure, seeded description of faults —
       per-message drop/duplication probabilities, per-round link outages,
       node crash-and-restart windows.  {!instantiate} compiles a plan into
-      the callback record {!Sim.faults} that {!Sim.run}'s [?faults]
-      argument consumes.  Decisions are a stateless PRF of
+      the callback record {!Sim.faults} that a run context's [faults]
+      field carries.  Decisions are a stateless PRF of
       [(seed, round, src, dst)], so a plan is bit-reproducible and
       independent of send order — the same plan on the same run always
       kills the same messages.
@@ -39,8 +39,7 @@
     of every incident link — a crash window thus degrades into a finite
     all-incident-links outage plus some lost in-flight packets, which the
     reliable layer already rides out.  {!maskable} classifies a plan
-    accordingly; {!drop_only} remains as the historical, strictly
-    narrower class.  Byzantine behavior (corrupted or forged messages) is
+    accordingly.  Byzantine behavior (corrupted or forged messages) is
     outside the model entirely.
 
     {b Determinism argument.}  The inner execution is driven only by the
@@ -62,30 +61,20 @@
     markers and timers keep marching), so a hardened run must be stopped
     by the omniscient {!quiescent} halt — virtual quiescence: every inner
     state done, no unacked payload, no unconsumed payload.  That is the
-    repo's usual omniscient-halt convention ({!Sim.run}'s [?halt]); a
+    repo's usual omniscient-halt convention ([Sim.run]'s [?halt]); a
     real deployment would detect it with an O(D) termination-detection
     wave, which callers should charge to their ledger.
     {!run_hardened} and {!sim_run} wire the halt (and the plan) for
     you. *)
 
-type plan = {
-  seed : int;
-  drop : float;  (** per-message drop probability, in [0, 1) *)
-  duplicate : float;  (** per-message duplication probability, in [0, 1] *)
-  link_down : (int * int * int * int) list;
-      (** [(u, v, first, last)]: both directions of edge u-v drop
-          everything in rounds [first..last] (inclusive) *)
-  crashes : (int * int * int) list;
-      (** [(node, crash, restart)]: the node is down in rounds
-          [crash..restart-1]; on round [restart] it re-inits — from its
-          checkpoint when the run is hardened with a {!recoverable}
-          contract, from scratch otherwise *)
-}
+type plan = Sim.plan
+(** A pure, seeded description of faults (fields documented at
+    {!Sim.plan}). *)
 
 val empty : plan
-(** No faults at all.  [Sim.run ?faults:(Some (instantiate empty))] is
-    bit-identical to [Sim.run] without faults (the differential suite
-    checks this). *)
+(** No faults at all.  A run whose context carries
+    [Some (instantiate empty)] is bit-identical to one without faults
+    (the differential suite checks this). *)
 
 val plan :
   ?drop:float ->
@@ -105,15 +94,6 @@ val maskable : ?with_recovery:bool -> plan -> bool
     running with a {!recoverable} contract ([~with_recovery:true]).
     Every constructible plan is maskable with recovery (the {!plan}
     validator already forbids drop probability 1 and infinite windows). *)
-
-val drop_only : plan -> bool
-(** Deprecated, strictly narrower predecessor of {!maskable}: no crashes
-    {e and} no link outages.  Kept for callers that want the
-    conservative class masked by PR-3-era hardening; new code should use
-    [maskable ~with_recovery:...].  Every use is flagged by dsf-lint's
-    [deprecated-fault-alias] rule (suppressible with
-    [[@lint.allow "deprecated-fault-alias"]] where the historical
-    semantics are genuinely wanted). *)
 
 val instantiate : plan -> Sim.faults
 (** Compile the plan into the engine's callback record.  Decisions are
@@ -214,8 +194,7 @@ val run_hardened :
   ?max_rounds:int ->
   ?rto:int ->
   ?rto_cap:int ->
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
+  ?ctx:Sim.ctx ->
   ?plan:plan ->
   ?recovery:'s recoverable ->
   Dsf_graph.Graph.t ->
@@ -226,17 +205,19 @@ val run_hardened :
     with the {!quiescent} halt, and unwrap the inner final states.  The
     stats are the {e hardened} run's (packet traffic, drops,
     retransmissions); compare with the lossless run's stats to measure
-    the overhead.  [telemetry] profiles the run — fault counters,
-    retransmissions, and [fault/recovery_rounds] / [fault/checkpoint_bits]
-    ledger attributions included — under a ["hardened"] span. *)
+    the overhead.  The run uses [ctx]'s engine and instrumentation, with
+    its faults replaced by the plan's.  [ctx.telemetry] profiles the run
+    — fault counters, retransmissions, and [fault/recovery_rounds] /
+    [fault/checkpoint_bits] ledger attributions included — under a
+    ["hardened"] span. *)
 
 (** {2 Chaos runs: hardened drop-in for [Sim.run]} *)
 
-type chaos = { cplan : plan; crto : int; crto_cap : int }
+type chaos = Sim.chaos
 (** A plan plus the reliable-layer timer configuration — everything a
-    subroutine needs to run hardened, bundled so one [?chaos] argument
-    threads through a whole solve ({!Solver.solve_ic} → {!Det_dsf.run} →
-    every simulated primitive). *)
+    subroutine needs to run hardened, carried in the run context's
+    [chaos] field through a whole solve ([Solver.solve_ic] →
+    [Det_dsf.run] → every simulated primitive). *)
 
 val chaos : ?rto:int -> ?rto_cap:int -> plan -> chaos
 (** Bundle a plan with timer settings (defaults: rto 3, cap 32). *)
@@ -244,27 +225,21 @@ val chaos : ?rto:int -> ?rto_cap:int -> plan -> chaos
 val sim_run :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:chaos ->
+  ?ctx:Sim.ctx ->
   ?recovery:'s recoverable ->
   Dsf_graph.Graph.t ->
   ('s, 'm) Sim.protocol ->
   's array * Sim.stats
-(** The hardened drop-in for {!Sim.run}.  Without [?chaos] it {e is}
-    {!Sim.run} (same arguments forwarded verbatim — zero overhead on the
-    fault-free path).  With [?chaos] it instantiates the plan, hardens
-    the protocol (with [recovery] when given), runs it on the requested
-    engine ([?flat]/[?jobs] — the hardened protocol goes through the
-    boxed adapter on the flat engine), and halts on {!quiescent} {e or}
-    the caller's [halt] evaluated on the inner state vector each physical
-    round — so an omniscient early stop (e.g. [Pipeline]'s
+(** The hardened drop-in for {!Sim.run}.  Without [ctx.chaos] it {e is}
+    {!Sim.run} (zero overhead on the fault-free path).  With it, it
+    instantiates the plan, hardens the protocol (with [recovery] when
+    given), runs it on [ctx.engine] (the hardened protocol goes through
+    the boxed adapter on the flat engine), and halts on {!quiescent}
+    {e or} the caller's [halt] evaluated on the inner state vector each
+    physical round — so an omniscient early stop (e.g. [Pipeline]'s
     [stop_at_root]) fires on exactly the same inner configuration as on
     the lossless run.  Final inner states are unwrapped;
     [stats.retransmissions] is folded from the per-node counters; the
     run lands under a ["hardened"] telemetry span with recovery
-    attribution as in {!run_hardened}.  [?faults] and [?chaos] are
-    mutually exclusive ([Invalid_argument]). *)
+    attribution as in {!run_hardened}.  A context carrying both [faults]
+    and [chaos] raises [Invalid_argument]. *)

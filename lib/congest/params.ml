@@ -1,20 +1,20 @@
 module Graph = Dsf_graph.Graph
 
-let count_nodes ?observer ?telemetry g =
+let count_nodes ?ctx g =
   let root = Bfs.max_id_root g in
-  let tree, s1 = Bfs.build ?observer ?telemetry g ~root in
-  let n, s2 = Tree_ops.count_nodes ?observer ?telemetry g ~tree in
+  let tree, s1 = Bfs.build ?ctx g ~root in
+  let n, s2 = Tree_ops.count_nodes ?ctx g ~tree in
   n, s1.Sim.rounds + s2.Sim.rounds
 
-let diameter_upper_bound ?observer ?telemetry g =
+let diameter_upper_bound ?ctx g =
   let root = Bfs.max_id_root g in
-  let tree, s1 = Bfs.build ?observer ?telemetry g ~root in
+  let tree, s1 = Bfs.build ?ctx g ~root in
   2 * tree.Bfs.height, s1.Sim.rounds
 
-let estimate_s ?observer ?telemetry ~cap g =
+let estimate_s ?ctx ~cap g =
   let root = Bfs.max_id_root g in
   match
-    Bellman_ford.run ~max_rounds:(cap + 1) ?observer ?telemetry g
+    Bellman_ford.run ~max_rounds:(cap + 1) ?ctx g
       ~sources:[ root, 0 ]
   with
   | res, stats ->
@@ -26,10 +26,10 @@ let estimate_s ?observer ?telemetry ~cap g =
 
 let isqrt = Dsf_util.Intmath.isqrt
 
-let regime ?observer ?telemetry g =
-  Telemetry.span_opt telemetry "regime_test" @@ fun () ->
-  let n, r1 = count_nodes ?observer ?telemetry g in
+let regime ?(ctx = Sim.default_ctx) g =
+  Telemetry.span_opt ctx.telemetry "regime_test" @@ fun () ->
+  let n, r1 = count_nodes ~ctx g in
   let cap = isqrt n in
-  match estimate_s ?observer ?telemetry ~cap g with
+  match estimate_s ~ctx ~cap g with
   | `Stabilized s, r2 -> `Small_s s, r1 + r2
   | `Exceeded, r2 -> `Large_s, r1 + r2

@@ -185,18 +185,18 @@ let filtered_upcast_flat ~(tree : Bfs.tree) ~vn ~pre ~items ~icmp ~bits :
     fp_wake = Some Sim.never;
   }
 
-let filtered_upcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos
-    ?stop_at_root g ~(tree : Bfs.tree) ~vn ~pre ~items ~cmp ~bits =
+let filtered_upcast ?(ctx = Sim.default_ctx) ?stop_at_root g
+    ~(tree : Bfs.tree) ~vn ~pre ~items ~cmp ~bits =
   let icmp = item_cmp cmp in
-  if Option.is_none chaos && flat = Some true then begin
+  if Sim.native_flat ctx then begin
     let halt =
       Option.map
         (fun pred states -> pred (List.rev states.(tree.root).p_acc))
         stop_at_root
     in
     let states, stats =
-      Telemetry.span_opt telemetry "filtered_upcast" (fun () ->
-          Sim.run_flat ?halt ?observer ?faults ?telemetry ?jobs g
+      Telemetry.span_opt ctx.telemetry "filtered_upcast" (fun () ->
+          Sim.run_flat ?halt ~ctx g
             (filtered_upcast_flat ~tree ~vn ~pre ~items ~icmp ~bits))
     in
     List.rev states.(tree.root).p_acc, stats
@@ -352,9 +352,8 @@ let filtered_upcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "filtered_upcast" (fun () ->
-        Fault.sim_run ?halt ?observer ?faults ?telemetry ?flat ?jobs ?chaos
-          ~recovery g proto)
+    Telemetry.span_opt ctx.telemetry "filtered_upcast" (fun () ->
+        Fault.sim_run ?halt ~ctx ~recovery g proto)
   in
   List.rev states.(tree.root).accepted, stats
   end

@@ -32,7 +32,8 @@
       ({!Telemetry.span} cross-links them when a recorder is attached),
       so causal depth can be attributed per phase;
     - [Recovery {...}] — a hardened run's recovery summary
-      ({!Fault.run_hardened} / [sim_run ?chaos]): retransmissions,
+      ({!Fault.run_hardened} / [Fault.sim_run] under a chaos context):
+      retransmissions,
       checkpoint restores, checkpoint bits.
 
     {2 Determinism}

@@ -33,6 +33,16 @@ type faults = {
   retransmissions : int ref;
 }
 
+type plan = {
+  seed : int;
+  drop : float;
+  duplicate : float;
+  link_down : (int * int * int * int) list;
+  crashes : (int * int * int) list;
+}
+
+type chaos = { cplan : plan; crto : int; crto_cap : int }
+
 type abort = {
   at_round : int;
   snapshot : stats;
@@ -47,49 +57,45 @@ let never _ ~round:_ _ = false
 
 type observer = src:int -> dst:int -> bits:int -> unit
 
-(* Deprecated global shim (see the .mli): a process-wide observer kept for
-   existing single-domain callers.  Parallel harness code passes the
-   per-run [?observer] parameter instead and must not touch this ref while
-   a fan-out is running. *)
-(* Process-global by definition: this *is* the deprecated shim the
-   domain-safety contract warns about; dsf-lint keeps anyone else from
-   growing another one. *)
-let observer : observer option ref = ref None [@@lint.allow "global-state"]
+type engine = Active | Flat | Reference
 
-let set_observer f = observer := f
+type ctx = {
+  engine : engine;
+  jobs : int;
+  observer : observer option;
+  faults : faults option;
+  telemetry : Telemetry.t option;
+  recorder : Recorder.t option;
+  chaos : chaos option;
+}
 
-let with_observer f body =
-  let prev = !observer in
-  let chained ~src ~dst ~bits =
-    (match prev with Some g -> g ~src ~dst ~bits | None -> ());
-    f ~src ~dst ~bits
-  in
-  observer := Some chained;
-  Fun.protect ~finally:(fun () -> observer := prev) body
+let default_ctx =
+  {
+    engine = Active;
+    jobs = 1;
+    observer = None;
+    faults = None;
+    telemetry = None;
+    recorder = None;
+    chaos = None;
+  }
 
-(* The observer a run actually uses: the global shim (if set) chained
-   before the per-run one, resolved once at run start so the hot loop
-   reads a local and the run is immune to mid-run shim mutation. *)
-let effective_observer per_run =
-  match !observer, per_run with
-  | None, None -> None
-  | (Some _ as g), None -> g
-  | None, (Some _ as f) -> f
-  | Some g, Some f ->
-      Some
-        (fun ~src ~dst ~bits ->
-          g ~src ~dst ~bits;
-          f ~src ~dst ~bits)
+let native_flat ctx = ctx.engine = Flat && Option.is_none ctx.chaos
 
-(* The flight recorder a run actually writes: the explicit [?recorder]
-   parameter wins; otherwise a recorder attached to the run's telemetry
+(* Hardening wraps the protocol, which an engine cannot do to itself:
+   a chaos context must come in through [Fault.sim_run]. *)
+let reject_chaos name ctx =
+  if Option.is_some ctx.chaos then
+    invalid_arg (name ^ ": a chaos context must run through Fault.sim_run")
+
+(* The flight recorder a run actually writes: the context's own recorder
+   wins; otherwise a recorder attached to the run's telemetry
    ([Telemetry.create ?recorder]) rides along.  Resolved once at run
-   start, like the observer. *)
-let effective_recorder recorder telemetry =
-  match recorder with
-  | Some _ -> recorder
-  | None -> (
-      match telemetry with Some t -> Telemetry.recorder t | None -> None)
+   start, so the hot loop reads a local. *)
+let effective_recorder ctx =
+  match ctx.recorder with
+  | Some _ as r -> r
+  | None -> Option.bind ctx.telemetry Telemetry.recorder
 
 (* Per-node map from neighbor id to the *directed edge slot* of the edge
    towards that neighbor: edge [eid] sent from its stored [u] endpoint
@@ -229,12 +235,13 @@ let tel_finish tel (s : stats) =
    round ([wake] is ignored), per-round accounting goes through a fresh
    hashtable, quiescence re-scans the full state vector.  The only changes
    from the seed are the slot-based recipient validation and the always-on
-   post-mortem traffic ring.  Fault injection is an active-engine feature;
-   this loop never sees a [faults] record. *)
-let run_reference ?max_rounds ?halt ?observer:per_run ?telemetry ?recorder g
-    proto =
-  let obs = effective_observer per_run in
-  let rcd = effective_recorder recorder telemetry in
+   post-mortem traffic ring.  This loop never sees a [faults] record. *)
+let run_reference ?max_rounds ?halt ?(ctx = default_ctx) g proto =
+  reject_chaos "Sim.run_reference" ctx;
+  if Option.is_some ctx.faults then
+    invalid_arg "Sim.run_reference: the reference engine takes no faults";
+  let obs = ctx.observer and telemetry = ctx.telemetry in
+  let rcd = effective_recorder ctx in
   let rec_on = Option.is_some rcd in
   let rb = Recorder.buf_make () in
   let n = Graph.n g in
@@ -339,11 +346,6 @@ let run_reference ?max_rounds ?halt ?observer:per_run ?telemetry ?recorder g
   let final = current_stats () in
   tel_finish telemetry final;
   states, final
-
-(* Deprecated global shim, same contract as [observer] above: the
-   per-run [?reference] parameter is the domain-safe way to pick the
-   engine. *)
-let use_reference_engine = ref false [@@lint.allow "global-state"]
 
 (* ------------------------------------------------------------------ *)
 (* Flat-core engine: arena message slots over the CSR graph view, with
@@ -596,17 +598,20 @@ let env_sanitize =
    only ever mask a violation, never invent one. *)
 let state_hash st = Hashtbl.hash_param 128 512 st
 
-let run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
-    ?(jobs = 1) ?sanitize g fp =
-  let obs = effective_observer per_run in
-  let rcd = effective_recorder recorder telemetry in
+let run_flat ?max_rounds ?halt ?(ctx = default_ctx) ?sanitize g fp =
+  reject_chaos "Sim.run_flat" ctx;
+  let obs = ctx.observer and faults = ctx.faults in
+  let telemetry = ctx.telemetry in
+  let rcd = effective_recorder ctx in
   let rec_on = Option.is_some rcd in
   let n = Graph.n g in
   let m = Graph.m g in
   let max_rounds =
     match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
   in
-  let jobs = max 1 (min jobs n) in
+  (* [stage] below is [jobs × n] buffers: past the pool's cap more jobs
+     only queue, so they would buy memory and no parallelism. *)
+  let jobs = max 1 (min ctx.jobs (min n Dsf_util.Pool.hard_cap)) in
   (* Force the graph's CSR memo on the coordinator before any domain fan-out
      so workers share the one view instead of racing to build it. *)
   let csr = Graph.csr g in
@@ -1045,11 +1050,6 @@ let run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
   tel_finish telemetry final;
   states, final
 
-(* Deprecated global shim, same contract as [use_reference_engine]: lets
-   the differential suite and the microbenchmarks drive whole algorithm
-   entry points through the flat engine without threading a parameter. *)
-let use_flat_engine = ref false [@@lint.allow "global-state"]
-
 (* Active-set engine.  Per-round work is proportional to the number of
    *active* nodes and the messages they send, plus an O(n) sweep of three
    boolean tests per idle node, instead of the seed's full [step] of every
@@ -1068,35 +1068,22 @@ let use_flat_engine = ref false [@@lint.allow "global-state"]
    Stats, observer calls (order included), exceptions, and final states are
    bit-for-bit those of [run_reference]; test_sim_equiv enforces this.
 
-   Fault injection ([?faults]) lives here and only here: with no faults
-   record the per-message fast path is exactly the fault-free engine.
-   Semantics (see the .mli): the sender is always charged for a send
-   (messages, bits, observer, edge budget); [Drop] destroys the message
-   in flight, [Replicate k] delivers [k] copies; a [down] node is not
-   stepped and mail arriving at it is destroyed (counted as dropped); on
-   the first round a node is back up, its state is reset to [init]. *)
-let run ?max_rounds ?halt ?observer:per_run ?reference ?faults ?telemetry
-    ?flat ?(jobs = 1) ?recorder g proto =
-  let reference =
-    match reference with Some b -> b | None -> !use_reference_engine
-  in
-  let flat = match flat with Some b -> b | None -> !use_flat_engine in
-  if reference then begin
-    (* Engine precedence: reference > flat > active; [?reference:true]
-       wins over the flat shim so existing differential helpers keep
-       working with either shim set. *)
-    (match faults with
-    | Some _ -> invalid_arg "Sim.run: ?faults requires the active engine"
-    | None -> ());
-    run_reference ?max_rounds ?halt ?observer:per_run ?telemetry ?recorder g
-      proto
-  end
-  else if flat then
-    run_flat ?max_rounds ?halt ?observer:per_run ?faults ?telemetry ?recorder
-      ~jobs g (flat_of_protocol proto)
-  else begin
-    let obs = effective_observer per_run in
-    let rcd = effective_recorder recorder telemetry in
+   Fault injection ([ctx.faults]) lives here and in [run_flat]: with no
+   faults record the per-message fast path is exactly the fault-free
+   engine.  Semantics (see the .mli): the sender is always charged for a
+   send (messages, bits, observer, edge budget); [Drop] destroys the
+   message in flight, [Replicate k] delivers [k] copies; a [down] node is
+   not stepped and mail arriving at it is destroyed (counted as dropped);
+   on the first round a node is back up, its state is reset to [init]. *)
+let run ?max_rounds ?halt ?(ctx = default_ctx) g proto =
+  reject_chaos "Sim.run" ctx;
+  match ctx.engine with
+  | Reference -> run_reference ?max_rounds ?halt ~ctx g proto
+  | Flat -> run_flat ?max_rounds ?halt ~ctx g (flat_of_protocol proto)
+  | Active ->
+    let obs = ctx.observer and faults = ctx.faults in
+    let telemetry = ctx.telemetry in
+    let rcd = effective_recorder ctx in
     let rec_on = Option.is_some rcd in
     let rb = Recorder.buf_make () in
     let n = Graph.n g in
@@ -1157,7 +1144,7 @@ let run ?max_rounds ?halt ?observer:per_run ?reference ?faults ?telemetry
       let inboxes = !cur and outboxes = !nxt in
       let sent_any = ref false in
       (* Round-level series for the telemetry hook.  Maintained as plain
-         branch-free adds so that with [?telemetry:None] the engine pays
+         branch-free adds so that without telemetry the engine pays
          exactly one extra branch per round (the [match] below). *)
       let bits0 = !total_bits in
       let stepped = ref 0 in
@@ -1295,7 +1282,6 @@ let run ?max_rounds ?halt ?observer:per_run ?reference ?faults ?telemetry
     let final = current_stats () in
     tel_finish telemetry final;
     states, final
-  end
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -73,9 +73,9 @@ type stats = {
       (** edge-rounds exceeding {!Dsf_util.Bitsize.congest_budget} *)
   dropped : int;
       (** messages destroyed by fault injection (at-send drops plus mail
-          arriving at a crashed node); always 0 without [?faults] *)
+          arriving at a crashed node); always 0 without faults *)
   duplicated : int;
-      (** extra copies delivered by fault injection; 0 without [?faults] *)
+      (** extra copies delivered by fault injection; 0 without faults *)
   retransmissions : int;
       (** resends performed by a hardened protocol.  The engine itself
           only copies the faults record's counter (see below); the
@@ -86,8 +86,8 @@ type stats = {
 
 (** {2 Fault injection}
 
-    A [faults] record is a set of callbacks the active engine consults
-    while it runs — the simulator stays agnostic of how fault decisions
+    A [faults] record is a set of callbacks the engines consult while a
+    run goes on — the simulator stays agnostic of how fault decisions
     are made ({!Fault} builds deterministic seeded records from
     declarative plans).  Semantics:
 
@@ -110,8 +110,8 @@ type stats = {
       hardened runners account resends per node and patch the returned
       stats instead.
 
-    Faults are an active-engine feature: combining [?faults] with
-    [~reference:true] raises [Invalid_argument]. *)
+    The active and flat engines inject faults; the reference engine
+    rejects a context that carries them ([Invalid_argument]). *)
 
 type fault_action = Deliver | Drop | Replicate of int
 
@@ -120,6 +120,28 @@ type faults = {
   down : round:int -> node:int -> bool;
   retransmissions : int ref;
 }
+
+type plan = {
+  seed : int;
+  drop : float;  (** per-message drop probability, in [0, 1) *)
+  duplicate : float;  (** per-message duplication probability, in [0, 1] *)
+  link_down : (int * int * int * int) list;
+      (** [(u, v, first, last)]: both directions of edge u-v drop
+          everything in rounds [first..last] (inclusive) *)
+  crashes : (int * int * int) list;
+      (** [(node, crash, restart)]: the node is down in rounds
+          [crash..restart-1]; on round [restart] it re-inits — from its
+          checkpoint when the run is hardened with a
+          {!Fault.recoverable} contract, from scratch otherwise *)
+}
+(** A pure, seeded description of faults; {!Fault.plan} validates one
+    and {!Fault.instantiate} compiles it into {!faults}.  Plain data, so
+    it lives here, below {!Fault}, where the run context can carry it. *)
+
+type chaos = { cplan : plan; crto : int; crto_cap : int }
+(** A plan plus the reliable-layer timer configuration ({!Fault.chaos}
+    builds one): a run context carrying it runs every protocol hardened
+    through {!Fault.sim_run}. *)
 
 (** {2 Structured round-limit aborts}
 
@@ -155,29 +177,57 @@ type observer = src:int -> dst:int -> bits:int -> unit
 (** A message tap: called for every message a run sends, in send order.
     Pure measurement instrumentation (e.g. counting bits across the
     Alice/Bob cut in the Section 3 lower-bound experiments); it never
-    affects execution.
+    affects execution. *)
+
+(** {2 The run context}
+
+    Everything a simulated run is configured with besides its protocol,
+    bundled so one [?ctx] threads through a whole tower of subroutines
+    (every primitive in [Dsf_congest], [Dsf_core] and [Dsf_embed] takes
+    it and hands it on).
 
     {2 Domain-safety contract}
 
-    The simulator holds no per-run mutable state that outlives {!run}, so
-    any number of simulations may run concurrently on separate domains
-    (the {!Dsf_util.Pool} trial engine does exactly this) — {e provided}
-    each run's configuration is passed through the per-run [?observer] /
-    [?reference] parameters.  The global shims ({!set_observer},
-    {!with_observer}, {!use_reference_engine}) mutate process-wide state
-    and are kept only for single-domain callers (tests, the lower-bound
-    cut meter, the engine microbenchmarks); never touch them while a
-    parallel fan-out is in flight. *)
+    The simulator holds no mutable state outside a run, so any number of
+    simulations may run concurrently on separate domains (the
+    {!Dsf_util.Pool} trial engine does exactly this), each with its own
+    context. *)
 
-val set_observer : observer option -> unit
-(** Deprecated global shim: installs a process-wide observer chained
-    before every run's per-run observer.  Single-domain use only — see
-    the domain-safety contract above; prefer [?observer] on {!run}. *)
+type engine =
+  | Active  (** the active-set scheduler of {!run} *)
+  | Flat
+      (** the flat-core engine: {!run} goes through {!flat_of_protocol};
+          primitives with a native {!flat_protocol} port run that port *)
+  | Reference  (** the seed loop, {!run_reference}; rejects faults *)
 
-val with_observer : observer -> (unit -> 'a) -> 'a
-(** Scoped global observer; nests by chaining — an enclosing observer
-    keeps seeing the traffic — and restores the previous observer on
-    exit.  Single-domain use only; prefer [?observer] on {!run}. *)
+type ctx = {
+  engine : engine;
+  jobs : int;
+      (** domains a flat run is partitioned over (see {!run_flat});
+          ignored by the other engines *)
+  observer : observer option;  (** taps every message of the run *)
+  faults : faults option;  (** fault injection, see above *)
+  telemetry : Telemetry.t option;
+      (** attributes the run to the enclosing span and streams the
+          round-level series; purely observational *)
+  recorder : Recorder.t option;
+      (** flight recorder; when absent, a recorder attached to
+          [telemetry] ([Telemetry.create ~recorder]) is used *)
+  chaos : chaos option;
+      (** run hardened under the bundled plan; only {!Fault.sim_run}
+          (and so every primitive) honours it — the engines themselves
+          raise [Invalid_argument] *)
+}
+
+val default_ctx : ctx
+(** [Active], one job, nothing attached.  Build others by record update:
+    [{ Sim.default_ctx with engine = Flat; jobs = 4 }]. *)
+
+val native_flat : ctx -> bool
+(** [engine = Flat] and no chaos: the condition under which a primitive
+    runs its native {!flat_protocol} port on {!run_flat} (under chaos
+    the hardened classic protocol reaches the flat engine through the
+    boxed adapter instead). *)
 
 (** {2 The flat-core engine}
 
@@ -277,21 +327,20 @@ exception Sanitizer_violation of sanitizer_violation
 val run_flat :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
-  ?observer:observer ->
-  ?faults:faults ->
-  ?telemetry:Telemetry.t ->
-  ?recorder:Recorder.t ->
-  ?jobs:int ->
+  ?ctx:ctx ->
   ?sanitize:bool ->
   Dsf_graph.Graph.t ->
   ('s, 'm) flat_protocol ->
   's array * stats
-(** Runs a native flat protocol on the flat-core engine ([jobs] defaults
-    to 1; it is clamped to [1 .. n]).  Stats, final states, observer
-    traces, round counts, telemetry series, fault semantics, and
-    {!Round_limit} behavior are bit-identical to {!run} on the equivalent
-    list protocol — the differential suite enforces this with faults and
-    telemetry both on and off.
+(** Runs a native flat protocol on the flat-core engine, whatever
+    [ctx.engine] says.  [ctx.jobs] is clamped to
+    [1 .. min n Dsf_util.Pool.hard_cap]: the staging area is
+    [jobs × n] buffers, so an unbounded [jobs] would cost memory and
+    buy no parallelism.  Stats, final states, observer traces, round
+    counts, telemetry series, fault semantics, and {!Round_limit}
+    behavior are bit-identical to {!run} on the equivalent list protocol
+    — the differential suite enforces this with faults and telemetry
+    both on and off.
 
     [sanitize] arms the dynamic ownership sanitizer: node-state writes
     and arena slots are tagged with the owning domain and round, and any
@@ -304,48 +353,38 @@ val run_flat :
     ([1]/[true]/[on], read once at module init), which is how ci.sh's
     sanitized end-to-end smoke arms it without touching call sites.
 
-    [recorder] appends flight-recorder events (see {!Recorder}): a
+    [ctx.recorder] appends flight-recorder events (see {!Recorder}): a
     [Round] marker per executed round, [Step v] for every mail-consuming
     step, [Send] with the fault layer's verdict as its [fate], and
     [Down]/[Restart] for crash windows.  Events are staged in per-domain
     buffers and flushed at the barrier in domain = node order — crash
     events of the round first, then step/send events — so the serialized
     log is byte-identical for any [jobs] and identical to the classic
-    engines' log for the same protocol.  When absent, a recorder attached
-    to [?telemetry] ([Telemetry.create ~recorder]) is used; with neither,
-    the engine pays one predictable branch per action and allocates
-    nothing (the bench GC gate pins the off path).  Events of a round
-    that raises (protocol error, sanitizer violation) are never flushed —
-    the log ends at the last completed round, like observer replay. *)
-
-val use_flat_engine : bool ref
-(** Deprecated global shim, mirror of {!use_reference_engine}: while
-    [true], {!run} (called without an explicit [?flat] or [?reference])
-    routes through the flat engine via {!flat_of_protocol}.  Same
-    single-domain-only contract as the other shims. *)
+    engines' log for the same protocol.  With no recorder (in the
+    context or on its telemetry) the engine pays one predictable branch
+    per action and allocates nothing (the bench GC gate pins the off
+    path).  Events of a round that raises (protocol error, sanitizer
+    violation) are never flushed — the log ends at the last completed
+    round, like observer replay. *)
 
 val run :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
-  ?observer:observer ->
-  ?reference:bool ->
-  ?faults:faults ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?recorder:Recorder.t ->
+  ?ctx:ctx ->
   Dsf_graph.Graph.t ->
   ('s, 'm) protocol ->
   's array * stats
-(** Runs the protocol to quiescence on the active-set engine.  Default
-    [max_rounds] is [10_000 + 200 * n]; raises {!Round_limit} if exceeded
-    (a protocol bug — the abort carries a post-mortem, see {!abort}).
-    Messages produced in round [r] are delivered in round [r + 1].
+(** Runs the protocol to quiescence on [ctx.engine] (default
+    {!default_ctx}: the active-set engine).  Default [max_rounds] is
+    [10_000 + 200 * n]; raises {!Round_limit} if exceeded (a protocol
+    bug — the abort carries a post-mortem, see {!abort}).  Messages
+    produced in round [r] are delivered in round [r + 1].
 
-    [faults] switches on fault injection for this run (see the fault
+    [ctx.faults] switches on fault injection for this run (see the fault
     semantics above).  Omitting it — or passing a record whose callbacks
     never fire — leaves the engine bit-identical to the fault-free one:
-    the differential suite checks both.  Requires the active engine.
+    the differential suite checks both.  A context carrying [chaos]
+    raises [Invalid_argument]: hardening is {!Fault.sim_run}'s job.
 
     [halt] is an omniscient early-termination predicate evaluated on the
     state vector after every round; when it fires the run stops immediately.
@@ -353,52 +392,29 @@ val run :
     broadcasts stop"): the caller is responsible for charging the O(D)
     stop-broadcast to its round ledger.
 
-    [observer] taps this run's messages (in addition to the global shim,
-    which fires first when both are set).  [reference] selects the engine
-    for this run only: [true] delegates to {!run_reference}; it defaults
-    to the {!use_reference_engine} shim (normally [false]).  [flat]
-    routes this run through the flat-core engine (via
-    {!flat_of_protocol}); it defaults to the {!use_flat_engine} shim.
-    Engine precedence is reference > flat > active.  [jobs] partitions a
-    flat run across pool domains (ignored by the other engines;
-    default 1).
-
-    [telemetry] attributes the run to the enclosing {!Telemetry} span
+    [ctx.telemetry] attributes the run to the enclosing {!Telemetry} span
     (final stats via [Telemetry.sim_run], including on a {!Round_limit}
     abort) and streams the round-level series — active-set size, messages
     delivered, bits this round, wake-hook hits — into its metrics
-    registry via [Telemetry.sim_round].  Purely observational: with
-    [?telemetry] absent the engine pays a single extra branch per round
-    and runs bit-identically to before (the differential suite checks
-    this).
-
-    [recorder] appends flight-recorder events for this run (see
-    {!run_flat} for the event and determinism contract; all three engines
-    produce byte-identical logs on the same protocol).  Defaults to the
-    recorder attached to [?telemetry], if any. *)
+    registry via [Telemetry.sim_round].  Purely observational: without it
+    the engine pays a single extra branch per round and runs
+    bit-identically (the differential suite checks this).  All three
+    engines produce byte-identical recorder logs on the same protocol
+    (see {!run_flat}). *)
 
 val run_reference :
   ?max_rounds:int ->
   ?halt:('s array -> bool) ->
-  ?observer:observer ->
-  ?telemetry:Telemetry.t ->
-  ?recorder:Recorder.t ->
+  ?ctx:ctx ->
   Dsf_graph.Graph.t ->
   ('s, 'm) protocol ->
   's array * stats
 (** The original (seed) simulator loop, kept as the semantic anchor: steps
-    every node every round and ignores [wake].  Differential tests assert
-    {!run} matches it exactly; it is also the baseline leg of the
-    [bench/main.exe -- micro] simulator benchmarks.  Not for production
-    use — it pays O(n + m) per round regardless of activity. *)
-
-val use_reference_engine : bool ref
-(** Deprecated global shim for test/benchmark instrumentation: while
-    [true], {!run} (called without an explicit [?reference]) delegates to
-    {!run_reference}.  Lets the differential suite and the microbenchmarks
-    drive whole algorithm entry points (e.g. {!Bellman_ford.sssp}) through
-    both engines without threading an engine parameter through every
-    caller.  Never set this in library code; reset it with [Fun.protect];
-    single-domain use only (see the domain-safety contract). *)
+    every node every round and ignores [wake] and [ctx.engine].
+    Differential tests assert {!run} matches it exactly; it is also the
+    baseline leg of the [bench/main.exe -- micro] simulator benchmarks.
+    Not for production use — it pays O(n + m) per round regardless of
+    activity.  Raises [Invalid_argument] on a context carrying faults or
+    chaos. *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -4,7 +4,7 @@
     coordinated views of a run:
 
     - a {b span tree} — [span t "voronoi" (fun () -> ...)] opens a nested
-      phase; simulator costs ({!Sim.run}'s [?telemetry] hook) and ledger
+      phase; simulator costs (a run context's telemetry hook) and ledger
       entries ({!attach_ledger}) recorded while the thunk runs are
       attributed to the innermost open span.  Same-named siblings merge
       into one aggregated node (its [count] tracks occurrences);
@@ -53,8 +53,8 @@ val create : ?clock:(unit -> int64) -> ?recorder:Recorder.t -> unit -> t
     across pool fan-outs) or a counter clock for golden output.
     [?recorder] attaches a flight recorder: {!span} emits
     [Span_open]/[Span_close] cross-link events into it, the engines pick
-    it up through {!recorder} when no explicit [?recorder] run parameter
-    is given, and {!Fault.run_hardened} logs its recovery summary there.
+    it up through {!recorder} when the run context sets no recorder of
+    its own, and {!Fault.run_hardened} logs its recovery summary there.
     {!fork} children detach (a recorder is single-writer state). *)
 
 val recorder : t -> Recorder.t option

@@ -5,11 +5,9 @@
     congestion analysis (which edges are hot?), for the lower-bound
     experiments, and for the round-profile ablations.
 
-    The domain-safe way to fill a trace is {!create} + {!observer},
-    passing the observer to the runs being measured through the per-run
-    [?observer] parameter (every simulated entry point threads it).
-    {!record} remains as a single-domain convenience built on the
-    deprecated global {!Sim.with_observer} shim. *)
+    Fill a trace with {!create} + {!observer}, passing the observer to
+    the runs being measured in their context's [observer] field (every
+    simulated entry point threads the context). *)
 
 type t
 
@@ -17,16 +15,10 @@ val create : unit -> t
 (** A fresh, empty trace. *)
 
 val observer : t -> Sim.observer
-(** The accumulating tap for a trace: pass [~observer:(observer t)] to
-    {!Sim.run} or any solver entry point.  Per-run and domain-safe — each
-    concurrent trial can own its own trace. *)
-
-val record : (unit -> 'a) -> 'a * t
-(** Run the thunk with recording enabled (composes with an already
-    installed observer: both see the traffic).  Single-domain only: this
-    installs a process-wide observer via the deprecated
-    {!Sim.with_observer} shim for the thunk's duration — never use it
-    inside a {!Dsf_util.Pool} fan-out; use {!create} + {!observer}. *)
+(** The accumulating tap for a trace: put [Some (observer t)] in the
+    context of {!Sim.run} or any simulated entry point ([~observer] on
+    the solver entry points).  Per-run and domain-safe — each concurrent
+    trial can own its own trace. *)
 
 val messages : t -> int
 val bits : t -> int

@@ -50,12 +50,11 @@ let upcast_flat ~(tree : Bfs.tree) ~items ~bits :
     fp_wake = Some Sim.never;
   }
 
-let upcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
-    ~(tree : Bfs.tree) ~items ~bits =
-  if Option.is_none chaos && flat = Some true then begin
+let upcast ?(ctx = Sim.default_ctx) g ~(tree : Bfs.tree) ~items ~bits =
+  if Sim.native_flat ctx then begin
     let states, stats =
-      Telemetry.span_opt telemetry "upcast" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g
+      Telemetry.span_opt ctx.telemetry "upcast" (fun () ->
+          Sim.run_flat ~ctx g
             (upcast_flat ~tree ~items ~bits))
     in
     List.rev states.(tree.root).u_recvd, stats
@@ -89,8 +88,8 @@ let upcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "upcast" (fun () ->
-        Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+    Telemetry.span_opt ctx.telemetry "upcast" (fun () ->
+        Fault.sim_run ~ctx
           ~recovery:(Fault.immutable ()) g proto)
   in
   let root_state = states.(tree.root) in
@@ -103,8 +102,8 @@ type ('a, 'b) dedup_state = {
   d_received : 'a list;
 }
 
-let upcast_dedup ?observer ?faults ?telemetry ?flat ?jobs ?chaos
-    ?(per_key = 1) g ~(tree : Bfs.tree) ~items ~key ~bits =
+let upcast_dedup ?(ctx = Sim.default_ctx) ?(per_key = 1) g ~(tree : Bfs.tree)
+    ~items ~key ~bits =
   (* Keep an item iff its key has fewer than [per_key] distinct items so
      far and the item itself is new. *)
   let admit seen it k =
@@ -149,13 +148,14 @@ let upcast_dedup ?observer ?faults ?telemetry ?flat ?jobs ?chaos
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "upcast_dedup" (fun () ->
-        (* The per-node seen-table makes this inherently boxed; [~flat:true]
-           still runs it on the flat engine through the adapter (the wake
-           hook is physically [never], so sparse scheduling is preserved).
+    Telemetry.span_opt ctx.telemetry "upcast_dedup" (fun () ->
+        (* The per-node seen-table makes this inherently boxed; a [Flat]
+           context still runs it on the flat engine through the adapter
+           (the wake hook is physically [never], so sparse scheduling is
+           preserved).
            The seen-table also makes the state mutable, so the recovery
            snapshot must copy it. *)
-        Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+        Fault.sim_run ~ctx
           ~recovery:
             {
               Fault.snapshot =
@@ -176,8 +176,8 @@ type 'a seq_state = {
   s_received : 'a list;  (** root only, reversed *)
 }
 
-let upcast_sequential ?observer ?telemetry ?flat ?jobs g ~(tree : Bfs.tree)
-    ~items ~bits =
+let upcast_sequential ?(ctx = Sim.default_ctx) g ~(tree : Bfs.tree) ~items
+    ~bits =
   (* Precompute the departure schedule. *)
   let schedule = Hashtbl.create 16 in
   let clock = ref 0 in
@@ -229,8 +229,10 @@ let upcast_sequential ?observer ?telemetry ?flat ?jobs g ~(tree : Bfs.tree)
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "upcast_sequential" (fun () ->
-        Sim.run ?observer ?telemetry ?flat ?jobs g proto)
+    Telemetry.span_opt ctx.telemetry "upcast_sequential" (fun () ->
+        (* Never faulted or hardened: the strawman's centralized schedule
+           has no recovery story. *)
+        Sim.run ~ctx:{ ctx with faults = None; chaos = None } g proto)
   in
   List.rev states.(tree.root).s_received, stats
 
@@ -274,12 +276,11 @@ let broadcast_flat ~(tree : Bfs.tree) ~items ~bits :
     fp_wake = Some Sim.never;
   }
 
-let broadcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
-    ~(tree : Bfs.tree) ~items ~bits =
-  if Option.is_none chaos && flat = Some true then begin
+let broadcast ?(ctx = Sim.default_ctx) g ~(tree : Bfs.tree) ~items ~bits =
+  if Sim.native_flat ctx then begin
     let states, stats =
-      Telemetry.span_opt telemetry "broadcast" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g
+      Telemetry.span_opt ctx.telemetry "broadcast" (fun () ->
+          Sim.run_flat ~ctx g
             (broadcast_flat ~tree ~items ~bits))
     in
     Array.map (fun st -> List.rev st.d_got) states, stats
@@ -315,8 +316,8 @@ let broadcast ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "broadcast" (fun () ->
-        Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+    Telemetry.span_opt ctx.telemetry "broadcast" (fun () ->
+        Fault.sim_run ~ctx
           ~recovery:(Fault.immutable ()) g proto)
   in
   Array.map (fun st -> List.rev st.got) states, stats
@@ -382,12 +383,12 @@ let aggregate_flat ~(tree : Bfs.tree) ~value ~combine ~bits :
     fp_wake = Some Sim.never;
   }
 
-let aggregate ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
-    ~(tree : Bfs.tree) ~value ~combine ~bits =
-  if Option.is_none chaos && flat = Some true then begin
+let aggregate ?(ctx = Sim.default_ctx) g ~(tree : Bfs.tree) ~value ~combine
+    ~bits =
+  if Sim.native_flat ctx then begin
     let states, stats =
-      Telemetry.span_opt telemetry "aggregate" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g
+      Telemetry.span_opt ctx.telemetry "aggregate" (fun () ->
+          Sim.run_flat ~ctx g
             (aggregate_flat ~tree ~value ~combine ~bits))
     in
     states.(tree.root).a_acc, stats
@@ -440,15 +441,15 @@ let aggregate ?observer ?faults ?telemetry ?flat ?jobs ?chaos g
     }
   in
   let states, stats =
-    Telemetry.span_opt telemetry "aggregate" (fun () ->
-        Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs ?chaos
+    Telemetry.span_opt ctx.telemetry "aggregate" (fun () ->
+        Fault.sim_run ~ctx
           ~recovery:(Fault.immutable ()) g proto)
   in
   states.(tree.root).acc, stats
   end
 
-let count_nodes ?observer ?telemetry ?flat ?jobs ?chaos g ~tree =
-  aggregate ?observer ?telemetry ?flat ?jobs ?chaos g ~tree
+let count_nodes ?ctx g ~tree =
+  aggregate ?ctx g ~tree
     ~value:(fun _ -> 1)
     ~combine:( + )
     ~bits:(fun x -> Dsf_util.Bitsize.int_bits (max 1 x))

@@ -8,36 +8,31 @@
     crosses one edge per round, so the round counts exhibit the pipelining
     the paper's analysis relies on.
 
-    Every operation takes an optional [?telemetry]: the run is profiled
-    under a span named after the primitive ([upcast], [broadcast],
-    [aggregate], ...) nested in the caller's current span.
+    Every operation takes an optional run context [?ctx]: with a
+    telemetry attached, the run is profiled under a span named after the
+    primitive ([upcast], [broadcast], [aggregate], ...) nested in the
+    caller's current span.
 
-    [~flat:true] selects the native flat-engine ports of {!upcast},
-    {!broadcast} and {!aggregate} (queue-based in-place states on
-    {!Sim.run_flat}, with [?jobs] domains) — bit-identical stats, results
-    and observer traces; {!upcast_dedup} and {!upcast_sequential} run
-    through the flat engine's boxed adapter instead.  [~flat:false]
-    forces the classic active engine; omitting [flat] defers to
-    {!Sim.run}'s engine selection.  [?faults] injects a deterministic
-    fault plan (active or flat engine only).
+    A {!Sim.native_flat} context selects the native flat-engine ports of
+    {!upcast}, {!broadcast} and {!aggregate} (queue-based in-place states
+    on {!Sim.run_flat}) — bit-identical stats, results and observer
+    traces; {!upcast_dedup} and {!upcast_sequential} run through the flat
+    engine's boxed adapter instead.
 
-    [?chaos] runs the classic protocol hardened under the bundled fault
-    plan via {!Fault.sim_run} (each primitive supplies its own
-    {!Fault.recoverable} snapshot, so crash-restart plans are masked);
-    it overrides the native-flat fast path — under chaos the hardened
-    protocol reaches the flat engine through the boxed adapter.
+    A context carrying [chaos] runs the classic protocol hardened under
+    the bundled fault plan via {!Fault.sim_run} (each primitive supplies
+    its own {!Fault.recoverable} snapshot, so crash-restart plans are
+    masked); it overrides the native-flat fast path — under chaos the
+    hardened protocol reaches the flat engine through the boxed adapter.
+    {!upcast_sequential} is the exception: it takes neither faults nor
+    chaos from its context.
     {!aggregate}'s child-count handshake is duplicate-tolerant (a child's
     report is identified by its sender id — each child reports exactly
     once), so duplication plans cannot corrupt or livelock the count even
     {e without} hardening. *)
 
 val upcast :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   items:(int -> 'a list) ->
@@ -48,12 +43,7 @@ val upcast :
     Rounds ~ height + max path congestion. *)
 
 val upcast_dedup :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?ctx:Sim.ctx ->
   ?per_key:int ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
@@ -68,10 +58,7 @@ val upcast_dedup :
     as values) are never forwarded twice. *)
 
 val upcast_sequential :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   items:(int -> 'a list) ->
@@ -84,12 +71,7 @@ val upcast_sequential :
     behaviour the paper's pipelining (Lemma 4.14, Section 5) eliminates. *)
 
 val broadcast :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   items:'a list ->
@@ -99,12 +81,7 @@ val broadcast :
     full list (in order).  Rounds ~ height + |items|. *)
 
 val aggregate :
-  ?observer:Sim.observer ->
-  ?faults:Sim.faults ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   value:(int -> 'a) ->
@@ -115,11 +92,7 @@ val aggregate :
     result over all nodes lands at the root.  Rounds ~ height. *)
 
 val count_nodes :
-  ?observer:Sim.observer ->
-  ?telemetry:Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:Fault.chaos ->
+  ?ctx:Sim.ctx ->
   Dsf_graph.Graph.t ->
   tree:Bfs.tree ->
   int * Sim.stats

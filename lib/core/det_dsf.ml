@@ -95,13 +95,21 @@ let g_copy gs =
     rad = Array.copy gs.rad;
   }
 
-let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
+let run ?observer ?telemetry ?flat ?(jobs = 1) ?chaos inst0 =
+  let ctx =
+    {
+      Sim.default_ctx with
+      engine = (if flat = Some true then Sim.Flat else Sim.Active);
+      jobs;
+      observer;
+      telemetry;
+      chaos;
+    }
+  in
   let tspan name f = Dsf_congest.Telemetry.span_opt telemetry name f in
   (* Lemma 2.4's minimalization runs as a real protocol; its rounds join
      the ledger below once it exists. *)
-  let minimalized =
-    Transform.minimalize ?observer ?telemetry ?flat ?jobs ?chaos inst0
-  in
+  let minimalized = Transform.minimalize ~ctx inst0 in
   let inst = minimalized.Transform.value in
   let g = inst.Instance.graph in
   let n = Graph.n g in
@@ -133,9 +141,7 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
     let tree =
       tspan "setup" (fun () ->
           let root = Bfs.max_id_root g in
-          let tree, bfs_stats =
-            Bfs.build ?observer ?telemetry ?flat ?jobs ?chaos g ~root
-          in
+          let tree, bfs_stats = Bfs.build ~ctx g ~root in
           note_stats "setup: BFS tree" bfs_stats;
           Ledger.add ledger Ledger.Simulated
             "setup: minimalize instance (Lemma 2.4)"
@@ -147,13 +153,11 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
           in
           let pair_bits (_, _) = 2 * Bitsize.id_bits ~n in
           let collected, up_stats =
-            Tree_ops.upcast ?observer ?telemetry ?flat ?jobs ?chaos g ~tree
-              ~items:term_items ~bits:pair_bits
+            Tree_ops.upcast ~ctx g ~tree ~items:term_items ~bits:pair_bits
           in
           note_stats "setup: collect terminals" up_stats;
           let _, bc_stats =
-            Tree_ops.broadcast ?observer ?telemetry ?flat ?jobs ?chaos g
-              ~tree ~items:collected ~bits:pair_bits
+            Tree_ops.broadcast ~ctx g ~tree ~items:collected ~bits:pair_bits
           in
           note_stats "setup: broadcast terminals" bc_stats;
           tree)
@@ -209,18 +213,17 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
         in
         (* a. Terminal decomposition (Lemma 4.8). *)
         let bf, bf_stats =
-          Region_bf.run ?observer ?telemetry ?flat ?jobs ?chaos g ~sources
-            ~frozen
+          Region_bf.run ~ctx g ~sources ~frozen
         in
         note_stats (tag "decomposition BF") bf_stats;
         let towner u = if frozen.(u) then owner.(u) else bf.(u).Region_bf.owner in
         let toffset u = if frozen.(u) then offset.(u) else bf.(u).Region_bf.offset in
         (* b. Candidate merges at region boundaries (Definition 4.11). *)
         let ex_stats =
-            Dsf_congest.Exchange.all_neighbors ?observer ?telemetry ?flat
-              ?jobs ?chaos g ~payload_bits:((2 * Bitsize.id_bits ~n) + 2)
-          in
-          Ledger.add ledger Ledger.Simulated (tag "boundary exchange") ex_stats.Sim.rounds;
+          Dsf_congest.Exchange.all_neighbors ~ctx g
+            ~payload_bits:((2 * Bitsize.id_bits ~n) + 2)
+        in
+        Ledger.add ledger Ledger.Simulated (tag "boundary exchange") ex_stats.Sim.rounds;
         let items u =
           if frozen.(u) || towner u < 0 || not (g_active gs (Hashtbl.find tindex (towner u)))
           then []
@@ -272,14 +275,13 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
           + (4 * Bitsize.id_bits ~n)
         in
         let accepted, pipe_stats =
-          Pipeline.filtered_upcast ?observer ?telemetry ?flat ?jobs ?chaos
-            ~stop_at_root g ~tree ~vn:t ~pre ~items ~cmp:ckey_cmp
+          Pipeline.filtered_upcast ~ctx ~stop_at_root g ~tree ~vn:t ~pre ~items
+            ~cmp:ckey_cmp
             ~bits:ckey_bits
         in
         note_stats (tag "candidate collection") pipe_stats;
         let _, stop_stats =
-          Tree_ops.broadcast ?observer ?telemetry ?flat ?jobs ?chaos g ~tree
-            ~items:[ () ] ~bits:(fun () -> 1)
+          Tree_ops.broadcast ~ctx g ~tree ~items:[ () ] ~bits:(fun () -> 1)
         in
         note_stats (tag "stop broadcast") stop_stats;
         (* Truncate at the first activity-changing merge. *)
@@ -300,8 +302,7 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
         in
         (* d. Broadcast the phase's merges; everyone updates locally. *)
         let _, bcast_stats =
-          Tree_ops.broadcast ?observer ?telemetry ?flat ?jobs ?chaos g ~tree
-            ~items:phase_merges ~bits:ckey_bits
+          Tree_ops.broadcast ~ctx g ~tree ~items:phase_merges ~bits:ckey_bits
         in
         note_stats (tag "merge broadcast") bcast_stats;
         let active_at_start = Array.init t (fun ti -> g_active gs ti) in
@@ -383,8 +384,7 @@ let run ?observer ?telemetry ?flat ?jobs ?chaos inst0 =
     let solution =
       tspan "final" (fun () ->
           let flood_edges, tf_stats =
-            Select.token_flood ?observer ?telemetry ?flat ?jobs ?chaos g
-              ~parent ~seeds
+            Select.token_flood ~ctx g ~parent ~seeds
           in
           note_stats "final: token flood (path selection)" tf_stats;
           List.iter (fun eid -> solution.(eid) <- true) flood_edges;

@@ -48,20 +48,19 @@ val run :
   result
 (** Requires a connected graph.  Singleton components are dropped
     (Lemma 2.4; the O(D + k) transform is charged to the ledger).
-    [observer] taps every message of every simulated subroutine —
-    per-run and domain-safe, the replacement for wrapping the call in
-    {!Dsf_congest.Sim.with_observer}.  [telemetry] profiles the run as a
-    span tree ([minimalize] / [setup] / [phase] / [final], with the
-    simulated primitives nested beneath) and attaches the ledger so every
-    charged entry lands in its enclosing span.
+    The labelled arguments are bundled once into the run context every
+    simulated subroutine receives.  [observer] taps every message of
+    every simulated subroutine — per-run and domain-safe.  [telemetry]
+    profiles the run as a span tree ([minimalize] / [setup] / [phase] /
+    [final], with the simulated primitives nested beneath) and attaches
+    the ledger so every charged entry lands in its enclosing span.
 
     [~flat:true] runs every simulated subroutine on the flat-core engine —
     native ports where they exist (BFS, Bellman-Ford decomposition,
     boundary exchange, filtered upcast, tree ops, token flood), the boxed
-    adapter elsewhere — with [?jobs] domains; the result, ledger, stats,
-    and observer traces are bit-identical to the classic engines.
-    [~flat:false] forces the classic active engine; omitting [flat]
-    defers to {!Dsf_congest.Sim.run}'s engine selection.
+    adapter elsewhere — with [?jobs] domains (default 1); the result,
+    ledger, stats, and observer traces are bit-identical to the classic
+    engines.  Otherwise every subroutine runs on the active engine.
 
     [chaos] runs every simulated subroutine hardened with checkpointed
     crash recovery under the given chaos plan (see

@@ -7,7 +7,8 @@
     that caps per-target work at O(s + k)), and every traversed edge is
     selected.  {!backtrace_phase}: targets ship their collected label
     bundles back along the recorded reverse chain to one originating
-    holder. *)
+    holder.  Both phases run on the active engine, with only [ctx]'s
+    observer. *)
 
 type route_state = {
   known : (int * int, int) Hashtbl.t;
@@ -18,7 +19,7 @@ type route_state = {
 }
 
 val route_phase :
-  ?observer:Dsf_congest.Sim.observer ->
+  ?ctx:Dsf_congest.Sim.ctx ->
   Dsf_graph.Graph.t ->
   Dsf_embed.Virtual_tree.t ->
   origins:(int -> (int * int) list) ->
@@ -34,7 +35,7 @@ type back_state = {
 }
 
 val backtrace_phase :
-  ?observer:Dsf_congest.Sim.observer ->
+  ?ctx:Dsf_congest.Sim.ctx ->
   Dsf_graph.Graph.t ->
   tables:(int -> (int * int, int) Hashtbl.t) ->
   bundles:(int -> back_msg list) ->

@@ -50,10 +50,10 @@ val run :
     repetition order, so the result — solution, weight, and ledger — is
     bit-identical for every [jobs] value.
 
-    [observer] taps every simulated run (per-run, not the deprecated
-    global shim).  With [jobs > 1] it is invoked concurrently from pool
-    domains, so it must be domain-safe (e.g. accumulate into atomics, or
-    into per-domain state).
+    [observer] taps every simulated run (per-run, carried in the run
+    context the entry point builds).  With [jobs > 1] it is invoked
+    concurrently from pool domains, so it must be domain-safe (e.g.
+    accumulate into atomics, or into per-domain state).
 
     [telemetry] profiles the run ([minimalize] / [regime_test] / [trial]
     / [stage2]); each repetition gets its own {!Dsf_congest.Telemetry.fork}

@@ -20,29 +20,21 @@ type node_result = {
 }
 
 val run :
-  ?observer:Dsf_congest.Sim.observer ->
-  ?faults:Dsf_congest.Sim.faults ->
-  ?telemetry:Dsf_congest.Telemetry.t ->
-  ?flat:bool ->
-  ?jobs:int ->
-  ?chaos:Dsf_congest.Fault.chaos ->
+  ?ctx:Dsf_congest.Sim.ctx ->
   Dsf_graph.Graph.t ->
   sources:(int * Frac.t * int) list ->
   frozen:bool array ->
   node_result array * Dsf_congest.Sim.stats
 (** [run g ~sources ~frozen] with [sources = [(node, offset, owner); ...]].
     Frozen nodes keep [owner = -1] in the result (callers retain their old
-    assignment).  [observer] taps the run's messages (per-run, domain-safe).
+    assignment).
 
-    [~flat:true] runs the native flat-engine port on
-    {!Dsf_congest.Sim.run_flat} with [?jobs] domains: mutable in-place node
+    A {!Dsf_congest.Sim.native_flat} context runs the native flat-engine
+    port on {!Dsf_congest.Sim.run_flat}: mutable in-place node
     state, CSR-resolved incoming weights, and one shared boxed [Relax]
     record per send-burst (dyadic distances exceed an immediate int, so
     messages stay boxed by design).  Labels, rounds, messages, bits, and
     observer traces are bit-identical to the classic protocol (differential
-    suite enforced).  [~flat:false] forces the classic active engine;
-    omitting [flat] defers to {!Dsf_congest.Sim.run}'s engine selection.
-    [faults] injects a fault plan (active or flat engine only).  [chaos]
-    instead runs the classic protocol hardened with checkpointed recovery
-    under the given chaos plan (exclusive with [faults]; see
-    {!Dsf_congest.Fault.sim_run}). *)
+    suite enforced).  Any other context runs the classic protocol through
+    {!Dsf_congest.Fault.sim_run} on [ctx.engine] — hardened with
+    checkpointed recovery when it carries [chaos]. *)

@@ -48,13 +48,12 @@ let flat_protocol g ~parent ~seeds :
     fp_wake = Some Sim.never;
   }
 
-let token_flood ?observer ?faults ?telemetry ?flat ?jobs ?chaos g ~parent
-    ~seeds =
-  if Option.is_none chaos && flat = Some true then begin
+let token_flood ?(ctx = Sim.default_ctx) g ~parent ~seeds =
+  if Sim.native_flat ctx then begin
     let proto = flat_protocol g ~parent ~seeds in
     let states, stats =
-      Dsf_congest.Telemetry.span_opt telemetry "token_flood" (fun () ->
-          Sim.run_flat ?observer ?faults ?telemetry ?jobs g proto)
+      Dsf_congest.Telemetry.span_opt ctx.telemetry "token_flood" (fun () ->
+          Sim.run_flat ~ctx g proto)
     in
     let f_eid = (Pack.layout [ 1; 1; Pack.width_of_max (Graph.m g) ]).(2) in
     (* Same extraction order as the classic leg: rev_append of each node's
@@ -94,9 +93,9 @@ let token_flood ?observer ?faults ?telemetry ?flat ?jobs ?chaos g ~parent
       }
     in
     let states, stats =
-      Dsf_congest.Telemetry.span_opt telemetry "token_flood" (fun () ->
-          Dsf_congest.Fault.sim_run ?observer ?faults ?telemetry ?flat ?jobs
-            ?chaos ~recovery:(Dsf_congest.Fault.immutable ()) g proto)
+      Dsf_congest.Telemetry.span_opt ctx.telemetry "token_flood" (fun () ->
+          Dsf_congest.Fault.sim_run ~ctx
+            ~recovery:(Dsf_congest.Fault.immutable ()) g proto)
     in
     let edges =
       Array.fold_left (fun acc st -> List.rev_append st.marked acc) [] states

@@ -92,7 +92,18 @@ let solve_ic ?(jobs = 1) ?observer ?telemetry ?flat ?chaos algo inst =
         None
 
 let solve_cr ?jobs ?observer ?telemetry ?flat ?chaos algo cr =
-  let out = Transform.cr_to_ic ?observer ?telemetry ?flat ?jobs ?chaos cr in
+  (* The same context [Det_dsf.run] builds from these arguments. *)
+  let ctx =
+    {
+      Dsf_congest.Sim.default_ctx with
+      engine = (if flat = Some true then Flat else Active);
+      jobs = Option.value jobs ~default:1;
+      observer;
+      telemetry;
+      chaos;
+    }
+  in
+  let out = Transform.cr_to_ic ~ctx cr in
   let report =
     solve_ic ?jobs ?observer ?telemetry ?flat ?chaos algo out.Transform.value
   in

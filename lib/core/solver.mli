@@ -46,9 +46,8 @@ val solve_ic :
 
     [~flat:true] runs {!algorithm.Det}'s simulated subroutines on the
     flat-core engine (native ports + boxed adapter, see {!Det_dsf.run});
-    other algorithms currently ignore it.  [~flat:false] forces the
-    classic active engine; omitting [flat] defers to
-    {!Dsf_congest.Sim.run}'s engine selection.
+    other algorithms currently ignore it.  Otherwise every simulated
+    subroutine runs on the active engine.
 
     [chaos] runs {!algorithm.Det}'s simulated subroutines hardened with
     checkpointed crash recovery under the given chaos plan (see

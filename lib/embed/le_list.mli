@@ -32,9 +32,9 @@ type t = {
   stats : Dsf_congest.Sim.stats;
 }
 
-val build :
-  ?observer:Dsf_congest.Sim.observer -> Dsf_util.Rng.t -> Dsf_graph.Graph.t -> t
-(** Draws ranks from the given RNG and runs the simulated construction. *)
+val build : ?ctx:Dsf_congest.Sim.ctx -> Dsf_util.Rng.t -> Dsf_graph.Graph.t -> t
+(** Draws ranks from the given RNG and runs the simulated construction on
+    the active engine, with only [ctx]'s observer. *)
 
 val highest_within : t -> int -> int -> entry option
 (** [highest_within t v r]: the highest-ranked node within weighted distance

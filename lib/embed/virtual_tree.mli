@@ -34,14 +34,15 @@ val beta_ball : t -> int -> int
     (distances are integers, so flooring is exact for membership tests). *)
 
 val build :
-  ?observer:Dsf_congest.Sim.observer ->
+  ?ctx:Dsf_congest.Sim.ctx ->
   Dsf_util.Rng.t ->
   ?truncate_at:int ->
   Dsf_graph.Graph.t ->
   t * int
 (** [build rng ?truncate_at g] returns the tree and the number of simulated
     rounds spent (LE lists; plus the closest-S Voronoi when truncating).
-    [truncate_at] is |S| (e.g. sqrt n); omit it for the full tree. *)
+    [truncate_at] is |S| (e.g. sqrt n); omit it for the full tree.  Both
+    simulations run on the active engine, with only [ctx]'s observer. *)
 
 val route_next_hop : t -> int -> int -> int option
 (** [route_next_hop t v target]: next hop from [v] on the recorded

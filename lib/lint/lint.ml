@@ -27,12 +27,10 @@ let zone_of_path p =
 type rule = { id : string; synopsis : string; rationale : string }
 
 let rule_global_state = "global-state"
-let rule_sim_globals = "sim-globals"
 let rule_nondet = "nondet"
 let rule_congest = "congest-discipline"
 let rule_catch_all = "catch-all"
 let rule_unsafe = "unsafe-array"
-let rule_fault_alias = "deprecated-fault-alias"
 
 let rules =
   [
@@ -42,14 +40,6 @@ let rules =
       rationale =
         "the domain-safety contract (HACKING.md): no per-run mutable state \
          in the library, or concurrent pool tasks race on it";
-    };
-    {
-      id = rule_sim_globals;
-      synopsis = "use of a deprecated process-wide Sim shim";
-      rationale =
-        "set_observer / with_observer / use_reference_engine mutate \
-         process-wide state; per-run ?observer / ?reference are the \
-         domain-safe replacements";
     };
     {
       id = rule_nondet;
@@ -83,23 +73,7 @@ let rules =
          an exception; every use must sit behind an explicit bounds check \
          and carry an inline [@lint.allow \"unsafe-array\"] pointing at it";
     };
-    {
-      id = rule_fault_alias;
-      synopsis = "use of the deprecated Fault.drop_only classifier";
-      rationale =
-        "drop_only predates the crash-recovery layer and answers the \
-         wrong question — whether a plan is maskable now depends on \
-         whether the run carries a recovery contract; \
-         Fault.maskable ?with_recovery is the one classifier";
-    };
   ]
-
-(* Files allowed to touch the deprecated Sim globals: the defining module
-   and the differential suites whose whole point is driving entry points
-   through both engines / the global tap.  Everything else must use the
-   per-run parameters or carry an inline [@lint.allow "sim-globals"]. *)
-let sim_globals_allowlist =
-  [ "lib/congest/sim.ml"; "test/test_sim_equiv.ml"; "test/test_lower_bound.ml" ]
 
 (* The library files that may read the wall clock: telemetry's [now_ns]
    is the sanctioned (and injectable) clock every other module profiles
@@ -257,9 +231,6 @@ let check_toplevel_binding ctx (vb : Parsetree.value_binding) =
                  \"global-state\"] and a comment"
         | _ -> ())
 
-let sim_shims =
-  [ "set_observer"; "with_observer"; "use_reference_engine"; "use_flat_engine" ]
-
 (* Modules whose [unsafe_*] accessors skip bounds checks.  [Obj.magic]-level
    tricks are out of scope; these are the ones that turn an off-by-one into
    silent memory corruption. *)
@@ -268,18 +239,6 @@ let unsafe_modules = [ "Array"; "Bytes"; "String"; "Float" ]
 let check_ident ctx ~loc lid =
   let p = path_str lid in
   let comps = flatten_lid lid in
-  (* sim-globals: any qualified reference to a deprecated shim. *)
-  if
-    List.mem (last_comp lid) sim_shims
-    && List.mem "Sim" comps
-    && not (List.mem ctx.file sim_globals_allowlist)
-  then
-    emit ctx ~loc ~rule:rule_sim_globals
-      ~message:(Printf.sprintf "use of deprecated global Sim shim `%s'" p)
-      ~hint:
-        "pass ?observer / ?reference / ?flat to the run instead \
-         (domain-safe); differential tests may suppress with [@lint.allow \
-         \"sim-globals\"]";
   (* unsafe-array: every bounds-unchecked access needs an inline allow. *)
   if
     String.starts_with ~prefix:"unsafe_" (last_comp lid)
@@ -293,15 +252,6 @@ let check_ident ctx ~loc lid =
          bounds check and mark the proven site with [@lint.allow \
          \"unsafe-array\"] — or route the bit manipulation through \
          Dsf_util.Pack, the sanctioned packing site";
-  (* deprecated-fault-alias: the pre-recovery plan classifier. *)
-  if last_comp lid = "drop_only" && List.mem "Fault" comps then
-    emit ctx ~loc ~rule:rule_fault_alias
-      ~message:"use of deprecated plan classifier `Fault.drop_only'"
-      ~hint:
-        "ask Fault.maskable ?with_recovery instead — maskability now \
-         depends on the run's recovery contract, not just the plan; \
-         alias-semantics tests may suppress with [@lint.allow \
-         \"deprecated-fault-alias\"]";
   (* nondet: seeding/IO-free determinism contract. *)
   (match p with
   | "Random.self_init" | "Random.init" | "Random.full_init" ->

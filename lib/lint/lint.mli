@@ -13,11 +13,6 @@
     - [global-state] — toplevel mutable bindings ([ref], [Hashtbl.create],
       [Buffer.create], [Atomic.make], [Mutex.create], array literals, ...)
       in [lib/]: the exact hazard the domain-safety contract forbids.
-    - [sim-globals] — uses of the deprecated process-wide [Sim] shims
-      ([set_observer] / [with_observer] / [use_reference_engine] /
-      [use_flat_engine]) outside the differential-test allowlist; per-run
-      [?observer] / [?reference] / [?flat] are the domain-safe
-      replacements.
     - [nondet] — nondeterminism sources: [Random.self_init], the global
       [Random.*] API (the seeded [Random.State] / [Dsf_util.Rng] paths are
       fine), wall-clock reads in [lib/] or [bin/] (allowed in [bench/]),
@@ -31,10 +26,6 @@
       [Bytes.unsafe_set], ...): allowed only behind an explicit bounds
       check, marked site-by-site with [[@lint.allow "unsafe-array"]] (the
       flat engine's inbox accessors are the canonical example).
-    - [deprecated-fault-alias] — uses of [Fault.drop_only], the
-      pre-recovery plan classifier; [Fault.maskable ?with_recovery] is
-      the replacement now that crash windows are maskable under a
-      recovery contract.
 
     The typed rules ([domain-race], [congest-width]) live in
     {!Typed_lint} and run over [.cmt] artifacts via [lint.exe --typed].

@@ -53,10 +53,9 @@ val cut_bits :
 (** [cut_bits sides f] hands [f] a cut-metering observer and returns [f]'s
     result plus the total bits that crossed the Alice/Bob cut in every
     simulation [f] threaded the observer through.  The observer is a
-    per-run value (pass it as [?observer] to the solver entry points), so
-    concurrent cut measurements on separate domains do not interfere —
-    unlike the old [Sim.with_observer]-based version, which installed a
-    process-wide tap. *)
+    per-run value (pass it as [~observer] to the solver entry points, or
+    in a run context's [observer] field), so concurrent cut measurements
+    on separate domains do not interfere. *)
 
 type padding = {
   extra_nodes : int;  (** isolated-chain nodes to inflate n *)

@@ -17,6 +17,10 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let rng seed = Dsf_util.Rng.create seed
 
+let faulty plan =
+  { Sim.default_ctx with faults = Some (Fault.instantiate plan) }
+let chaotic plan = { Sim.default_ctx with chaos = Some (Fault.chaos plan) }
+
 (* Hardened runs multiply round counts by the synchronizer overhead, so
    chaos graphs stay small. *)
 let random_graph seed =
@@ -112,7 +116,7 @@ let test_exchange_crash_restart () =
   let v = n / 2 in
   let plan = Fault.plan ~crashes:[ v, 0, 2 ] ~seed:1 () in
   let states, stats =
-    Sim.run ~faults:(Fault.instantiate plan) g
+    Sim.run ~ctx:(faulty plan) g
       (Exchange.protocol ~payload_bits:9)
   in
   Array.iteri
@@ -135,7 +139,7 @@ let test_leader_crash_breaks_agreement () =
   let k = 8 in
   let g = Gen.path (k + 1) in
   let plan = Fault.plan ~crashes:[ 0, k - 1, k + 2 ] ~seed:1 () in
-  let res = Leader.elect ~faults:(Fault.instantiate plan) g in
+  let res = Leader.elect ~ctx:(faulty plan) g in
   Alcotest.(check bool) "disagreement surfaced" false res.Leader.agreed;
   check Alcotest.int "true winner still reported" k res.Leader.leader
 
@@ -146,7 +150,7 @@ let test_leader_max_node_restart_reconverges () =
   let k = 8 in
   let g = Gen.path (k + 1) in
   let plan = Fault.plan ~crashes:[ k, 1, 3 ] ~seed:1 () in
-  let res = Leader.elect ~faults:(Fault.instantiate plan) g in
+  let res = Leader.elect ~ctx:(faulty plan) g in
   Alcotest.(check bool) "agreement restored" true res.Leader.agreed;
   check Alcotest.int "leader" k res.Leader.leader
 
@@ -159,9 +163,7 @@ let test_maskable_classifier () =
   Alcotest.(check bool) "drops maskable" true (Fault.maskable drops);
   Alcotest.(check bool) "drops maskable without recovery" true
     (Fault.maskable ~with_recovery:false drops);
-  (* [maskable] is strictly wider than the deprecated [drop_only] (whose
-     remaining uses the deprecated-fault-alias lint rule now flags):
-     finite outages are healed by capped-backoff retransmission alone,
+  (* Finite outages are healed by capped-backoff retransmission alone,
      no recovery contract needed. *)
   Alcotest.(check bool) "outage maskable" true (Fault.maskable outage);
   Alcotest.(check bool) "outage maskable without recovery" true
@@ -207,10 +209,11 @@ let test_leader_crash_recovery_reconverges () =
       (Leader.protocol g)
   in
   Alcotest.(check bool) "crash masked by recovery" true (lossless = hardened);
-  (* Same guarantee through the chaos front door: [Leader.elect ?chaos]
-     runs hardened-with-recovery and asserts agreement internally. *)
+  (* Same guarantee through the chaos front door: [Leader.elect] under a
+     chaos context runs hardened-with-recovery and asserts agreement
+     internally. *)
   let res =
-    Leader.elect ~chaos:(Fault.chaos (Fault.chaos_plan ~seed:7 g)) g
+    Leader.elect ~ctx:(chaotic (Fault.chaos_plan ~seed:7 g)) g
   in
   Alcotest.(check bool) "elect under chaos agrees" true res.Leader.agreed;
   check Alcotest.int "elect under chaos: true winner" k res.Leader.leader
@@ -225,7 +228,7 @@ let test_recovery_stats_counted () =
   let proto = Leader.protocol g in
   let hardened = Fault.harden ~recovery:(Fault.immutable ()) proto in
   let hs, _ =
-    Sim.run ~halt:(Fault.quiescent proto) ~faults:(Fault.instantiate plan) g
+    Sim.run ~halt:(Fault.quiescent proto) ~ctx:(faulty plan) g
       hardened
   in
   let rs = Fault.recovery_of hs in
@@ -243,8 +246,8 @@ let test_exchange_chaos_still_stabilizes () =
      having sent, and the stats come back finite. *)
   let g = random_graph 777 in
   let stats =
-    Exchange.all_neighbors ~chaos:(Fault.chaos (Fault.chaos_plan ~seed:9 g))
-      g ~payload_bits:9
+    Exchange.all_neighbors ~ctx:(chaotic (Fault.chaos_plan ~seed:9 g)) g
+      ~payload_bits:9
   in
   Alcotest.(check bool) "positive traffic" true (stats.Sim.messages > 0)
 

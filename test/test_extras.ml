@@ -39,11 +39,17 @@ let test_seq_upcast_no_pipelining () =
 
 (* ------------------------------------------------------------------ Trace *)
 
+(* A fresh trace and a run context whose observer fills it. *)
+let traced () =
+  let trace = Dsf_congest.Trace.create () in
+  ( { Dsf_congest.Sim.default_ctx with
+      observer = Some (Dsf_congest.Trace.observer trace) },
+    trace )
+
 let test_trace_counts () =
   let g = Gen.path 6 in
-  let (_, stats), trace =
-    Dsf_congest.Trace.record (fun () -> Dsf_congest.Bfs.build g ~root:0)
-  in
+  let ctx, trace = traced () in
+  let _, stats = Dsf_congest.Bfs.build ~ctx g ~root:0 in
   check Alcotest.int "messages match sim stats" stats.Dsf_congest.Sim.messages
     (Dsf_congest.Trace.messages trace);
   check Alcotest.int "bits match sim stats" stats.Dsf_congest.Sim.total_bits
@@ -51,10 +57,8 @@ let test_trace_counts () =
 
 let test_trace_per_edge () =
   let g = Gen.path 3 in
-  let _, trace =
-    Dsf_congest.Trace.record (fun () ->
-        Dsf_congest.Bellman_ford.sssp g ~src:0)
-  in
+  let ctx, trace = traced () in
+  ignore (Dsf_congest.Bellman_ford.sssp ~ctx g ~src:0);
   Alcotest.(check bool) "edge 0->1 carried bits" true
     (Dsf_congest.Trace.bits_between trace ~src:0 ~dst:1 > 0);
   let hottest = Dsf_congest.Trace.hottest_edges trace 2 in
@@ -62,16 +66,6 @@ let test_trace_per_edge () =
   (match hottest with
   | (_, a) :: (_, b) :: _ -> Alcotest.(check bool) "descending" true (a >= b)
   | _ -> Alcotest.fail "expected 2 entries")
-
-let test_trace_nesting_chains () =
-  let g = Gen.path 4 in
-  let (_, inner), outer =
-    Dsf_congest.Trace.record (fun () ->
-        Dsf_congest.Trace.record (fun () -> Dsf_congest.Bfs.build g ~root:0))
-  in
-  check Alcotest.int "outer sees the same traffic"
-    (Dsf_congest.Trace.bits inner)
-    (Dsf_congest.Trace.bits outer)
 
 (* -------------------------------------------------------------------- Dot *)
 
@@ -236,7 +230,6 @@ let suites =
       [
         Alcotest.test_case "counts" `Quick test_trace_counts;
         Alcotest.test_case "per-edge" `Quick test_trace_per_edge;
-        Alcotest.test_case "nesting chains" `Quick test_trace_nesting_chains;
       ] );
     ( "graph.dot",
       [

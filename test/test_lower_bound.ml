@@ -5,6 +5,9 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let rng seed = Dsf_util.Rng.create seed
 
+let observed observer =
+  { Dsf_congest.Sim.default_ctx with observer = Some observer }
+
 let test_cr_gadget_shape () =
   let a = [| true; false; true; false |] in
   let b = [| false; true; false; false |] in
@@ -86,7 +89,8 @@ let test_cut_bits_measured () =
   let _, bits =
     Gadgets.cut_bits gad.Gadgets.cr_side (fun ~observer ->
         let ic =
-          (Dsf_core.Transform.cr_to_ic ~observer gad.Gadgets.cr)
+          (Dsf_core.Transform.cr_to_ic ~ctx:(observed observer)
+             gad.Gadgets.cr)
             .Dsf_core.Transform.value
         in
         Dsf_core.Det_dsf.run ~observer ic)
@@ -100,7 +104,8 @@ let test_cut_bits_scale_with_universe () =
     let _, bits =
       Gadgets.cut_bits gad.Gadgets.cr_side (fun ~observer ->
           let ic =
-            (Dsf_core.Transform.cr_to_ic ~observer gad.Gadgets.cr)
+            (Dsf_core.Transform.cr_to_ic ~ctx:(observed observer)
+               gad.Gadgets.cr)
               .Dsf_core.Transform.value
           in
           Dsf_core.Det_dsf.run ~observer ic)
@@ -111,13 +116,13 @@ let test_cut_bits_scale_with_universe () =
   Alcotest.(check bool) "bits grow with the universe" true (b32 > 2 * b8)
 
 let test_observer_scoping () =
-  (* The observer must not leak outside with_observer. *)
+  (* An observer taps only the run whose context carries it. *)
   let count = ref 0 in
   let g = Gen.path 4 in
   let _ =
-    Dsf_congest.Sim.with_observer
-      (fun ~src:_ ~dst:_ ~bits -> count := !count + bits)
-      (fun () -> Dsf_congest.Bfs.build g ~root:0)
+    Dsf_congest.Bfs.build
+      ~ctx:(observed (fun ~src:_ ~dst:_ ~bits -> count := !count + bits))
+      g ~root:0
   in
   let seen = !count in
   Alcotest.(check bool) "observed inside" true (seen > 0);
@@ -204,7 +209,7 @@ let test_padding_stays_off_the_cut () =
     snd
       (Gadgets.cut_bits side (fun ~observer ->
            let ic =
-             (Dsf_core.Transform.cr_to_ic ~observer cr)
+             (Dsf_core.Transform.cr_to_ic ~ctx:(observed observer) cr)
                .Dsf_core.Transform.value
            in
            Dsf_core.Det_dsf.run ~observer ic))

@@ -101,17 +101,23 @@ let prop_recorder_transparent =
       let g = random_graph seed in
       let n = Graph.n g in
       let root = seed mod n in
+      let ctx ~observer recorder =
+        { Sim.default_ctx with observer = Some observer; recorder }
+      in
       let active recorder =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t = Sim.run ~observer ?recorder g (Bfs.protocol ~root) in
+        let s, t =
+          Sim.run ~ctx:(ctx ~observer recorder) g (Bfs.protocol ~root)
+        in
         s, t, List.rev !log
       in
       let reference recorder =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
         let s, t =
-          Sim.run_reference ~observer ?recorder g (Bfs.protocol ~root)
+          Sim.run_reference ~ctx:(ctx ~observer recorder) g
+            (Bfs.protocol ~root)
         in
         s, t, List.rev !log
       in
@@ -119,7 +125,8 @@ let prop_recorder_transparent =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
         let s, t =
-          Sim.run_flat ~observer ?recorder g (Bfs.flat_protocol ~n ~root)
+          Sim.run_flat ~ctx:(ctx ~observer recorder) g
+            (Bfs.flat_protocol ~n ~root)
         in
         s, t, List.rev !log
       in
@@ -132,18 +139,21 @@ let prop_recorder_transparent =
 
 let record_active ?faults g ~root =
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run ?faults ~recorder:r g (Bfs.protocol ~root));
+  let ctx = { Sim.default_ctx with faults; recorder = Some r } in
+  ignore (Sim.run ~ctx g (Bfs.protocol ~root));
   Recorder.to_string r
 
 let record_reference g ~root =
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run_reference ~recorder:r g (Bfs.protocol ~root));
+  let ctx = { Sim.default_ctx with recorder = Some r } in
+  ignore (Sim.run_reference ~ctx g (Bfs.protocol ~root));
   Recorder.to_string r
 
 let record_flat ?faults ~jobs g ~root =
   let n = Graph.n g in
   let r = Recorder.create ~now:0 () in
-  ignore (Sim.run_flat ?faults ~recorder:r ~jobs g (Bfs.flat_protocol ~n ~root));
+  let ctx = { Sim.default_ctx with jobs; faults; recorder = Some r } in
+  ignore (Sim.run_flat ~ctx g (Bfs.flat_protocol ~n ~root));
   Recorder.to_string r
 
 let prop_log_engine_invariant =
@@ -205,8 +215,15 @@ let prop_log_jobs_invariant_faulted =
         let r = Recorder.create ~now:0 () in
         (try
            ignore
-             (Sim.run_flat ~max_rounds:300 ~faults:(Fault.instantiate plan)
-                ~recorder:r ~jobs g (Bfs.flat_protocol ~n ~root))
+             (Sim.run_flat ~max_rounds:300
+                ~ctx:
+                  {
+                    Sim.default_ctx with
+                    jobs;
+                    faults = Some (Fault.instantiate plan);
+                    recorder = Some r;
+                  }
+                g (Bfs.flat_protocol ~n ~root))
          with Sim.Round_limit _ -> ());
         Recorder.to_string r
       in
@@ -224,8 +241,15 @@ let test_spans_in_log_jobs_invariant () =
     let tel = Telemetry.create ~clock:(fun () -> 0L) ~recorder:r () in
     Telemetry.span tel "bfs" (fun () ->
         ignore
-          (Sim.run_flat ~telemetry:tel ~recorder:r ~jobs g
-             (Bfs.flat_protocol ~n ~root:0)));
+          (Sim.run_flat
+             ~ctx:
+               {
+                 Sim.default_ctx with
+                 jobs;
+                 telemetry = Some tel;
+                 recorder = Some r;
+               }
+             g (Bfs.flat_protocol ~n ~root:0)));
     Recorder.to_string r
   in
   let base = run 1 in

@@ -75,12 +75,14 @@ let test_clean_run_bit_identical () =
   let n = Graph.n g in
   let root = Bfs.max_id_root g in
   let st_off, stats_off =
-    Sim.run_flat ~jobs:1 ~sanitize:false g (Bfs.flat_protocol ~n ~root)
+    Sim.run_flat ~sanitize:false g (Bfs.flat_protocol ~n ~root)
   in
   List.iter
     (fun jobs ->
       let st_on, stats_on =
-        Sim.run_flat ~jobs ~sanitize:true g (Bfs.flat_protocol ~n ~root)
+        Sim.run_flat
+          ~ctx:{ Sim.default_ctx with jobs }
+          ~sanitize:true g (Bfs.flat_protocol ~n ~root)
       in
       check Alcotest.bool
         (Printf.sprintf "states identical (jobs=%d)" jobs)
@@ -98,7 +100,9 @@ let test_clean_faulted_run_bit_identical () =
   let n = Graph.n g in
   let run ~sanitize =
     let plan = Fault.plan ~drop:0.3 ~crashes:[ 3, 2, 4 ] ~seed:7 () in
-    Sim.run_flat ~faults:(Fault.instantiate plan) ~sanitize g
+    Sim.run_flat
+      ~ctx:{ Sim.default_ctx with faults = Some (Fault.instantiate plan) }
+      ~sanitize g
       (Bfs.flat_protocol ~n ~root:0)
   in
   let off = run ~sanitize:false in

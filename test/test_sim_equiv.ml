@@ -11,13 +11,12 @@ let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 let rng seed = Dsf_util.Rng.create seed
 
-let with_reference f =
-  Sim.use_reference_engine := true;
-  Fun.protect ~finally:(fun () -> Sim.use_reference_engine := false) f
+let reference = { Sim.default_ctx with engine = Reference }
 
-(* Run the same closure through both engines and hand back both results.
-   The closure must be deterministic (all our protocols are). *)
-let both f = f (), with_reference f
+(* Run the same closure under an active and a reference context and hand
+   back both results.  The closure must be deterministic (all our
+   protocols are). *)
+let both f = f Sim.default_ctx, f reference
 
 let stats_eq (a : Sim.stats) (b : Sim.stats) = a = b
 
@@ -82,7 +81,7 @@ let prop_bellman_ford_equiv =
             Dsf_util.Rng.int r n, Dsf_util.Rng.int r 5)
       in
       let (res1, t1), (res2, t2) =
-        both (fun () -> Bellman_ford.run g ~sources)
+        both (fun ctx -> Bellman_ford.run ~ctx g ~sources)
       in
       res1 = res2 && stats_eq t1 t2)
 
@@ -107,9 +106,9 @@ let prop_pipeline_equiv =
         List.filter (fun (h, _) -> h = v) items_all |> List.map snd
       in
       let (acc1, t1), (acc2, t2) =
-        both (fun () ->
-            Pipeline.filtered_upcast g ~tree ~vn ~pre:[] ~items ~cmp:compare
-              ~bits:(fun _ -> 16))
+        both (fun ctx ->
+            Pipeline.filtered_upcast ~ctx g ~tree ~vn ~pre:[] ~items
+              ~cmp:compare ~bits:(fun _ -> 16))
       in
       acc1 = acc2 && stats_eq t1 t2)
 
@@ -123,16 +122,16 @@ let prop_tree_ops_equiv =
       let tree = fst (Bfs.build g ~root:(seed mod n)) in
       let bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
       let (up1, ut1), (up2, ut2) =
-        both (fun () ->
-            Tree_ops.upcast g ~tree ~items:(fun v -> [ v; v + n ]) ~bits)
+        both (fun ctx ->
+            Tree_ops.upcast ~ctx g ~tree ~items:(fun v -> [ v; v + n ]) ~bits)
       in
       let (bc1, bt1), (bc2, bt2) =
-        both (fun () ->
-            Tree_ops.broadcast g ~tree ~items:[ 1; 2; 3 ] ~bits)
+        both (fun ctx ->
+            Tree_ops.broadcast ~ctx g ~tree ~items:[ 1; 2; 3 ] ~bits)
       in
       let (ag1, at1), (ag2, at2) =
-        both (fun () ->
-            Tree_ops.aggregate g ~tree ~value:Fun.id ~combine:( + ) ~bits)
+        both (fun ctx ->
+            Tree_ops.aggregate ~ctx g ~tree ~value:Fun.id ~combine:( + ) ~bits)
       in
       up1 = up2 && stats_eq ut1 ut2
       && bc1 = bc2 && stats_eq bt1 bt2
@@ -145,11 +144,11 @@ let prop_bfs_leader_exchange_equiv =
     (fun seed ->
       let g = random_graph seed in
       let (tr1, bt1), (tr2, bt2) =
-        both (fun () -> Bfs.build g ~root:(seed mod Graph.n g))
+        both (fun ctx -> Bfs.build ~ctx g ~root:(seed mod Graph.n g))
       in
-      let le1, le2 = both (fun () -> Leader.elect g) in
+      let le1, le2 = both (fun ctx -> Leader.elect ~ctx g) in
       let ex1, ex2 =
-        both (fun () -> Exchange.all_neighbors g ~payload_bits:9)
+        both (fun ctx -> Exchange.all_neighbors ~ctx g ~payload_bits:9)
       in
       tr1 = tr2 && stats_eq bt1 bt2 && le1 = le2 && stats_eq ex1 ex2)
 
@@ -163,19 +162,18 @@ let prop_telemetry_transparent =
       (* The hook only observes: states, stats and observer traces of an
          instrumented run must be bit-identical to the bare run — on the
          active-set engine and the reference loop alike. *)
-      let record_active telemetry =
+      let record run telemetry =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t = Sim.run ~observer ?telemetry g (flood_protocol root) in
+        let ctx =
+          { Sim.default_ctx with observer = Some observer; telemetry }
+        in
+        let s, t = run ~ctx g (flood_protocol root) in
         s, t, List.rev !log
       in
-      let record_reference telemetry =
-        let log = ref [] in
-        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t =
-          Sim.run_reference ~observer ?telemetry g (flood_protocol root)
-        in
-        s, t, List.rev !log
+      let record_active = record (fun ~ctx g p -> Sim.run ~ctx g p) in
+      let record_reference =
+        record (fun ~ctx g p -> Sim.run_reference ~ctx g p)
       in
       let tel () = Some (Telemetry.create ~clock:(fun () -> 0L) ()) in
       record_active None = record_active (tel ())
@@ -194,7 +192,8 @@ let prop_empty_plan_identity =
       let record faults =
         let log = ref [] in
         let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
-        let s, t = Sim.run ~observer ?faults g (flood_protocol root) in
+        let ctx = { Sim.default_ctx with observer = Some observer; faults } in
+        let s, t = Sim.run ~ctx g (flood_protocol root) in
         s, t, List.rev !log
       in
       record None = record (Some (Fault.instantiate Fault.empty)))
@@ -203,7 +202,9 @@ let prop_empty_plan_identity =
 
 let test_single_node () =
   let g = Graph.make ~n:1 [] in
-  let (s1, t1), (s2, t2) = both (fun () -> Sim.run g (flood_protocol 0)) in
+  let (s1, t1), (s2, t2) =
+    both (fun ctx -> Sim.run ~ctx g (flood_protocol 0))
+  in
   ignore s1;
   ignore s2;
   check Alcotest.int "rounds" t2.Sim.rounds t1.Sim.rounds;
@@ -251,7 +252,7 @@ let test_halt_equiv () =
     }
   in
   let halt sts = sts.(0) >= 4 in
-  let (s1, t1), (s2, t2) = both (fun () -> Sim.run ~halt g counting) in
+  let (s1, t1), (s2, t2) = both (fun ctx -> Sim.run ~halt ~ctx g counting) in
   check Alcotest.(array int) "states" s2 s1;
   Alcotest.(check bool) "stats equal" true (stats_eq t1 t2)
 
@@ -280,17 +281,15 @@ let test_observer_order_identical () =
   (* The observer must see the same (src, dst, bits) sequence from both
      engines — traces and cut meters rely on it. *)
   let g = random_graph 424_242 in
-  let record f =
+  let record engine =
     let log = ref [] in
-    Sim.with_observer
-      (fun ~src ~dst ~bits -> log := (src, dst, bits) :: !log)
-      (fun () -> ignore (f ()));
+    let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
+    let ctx = { Sim.default_ctx with engine; observer = Some observer } in
+    ignore (Bellman_ford.sssp ~ctx g ~src:0);
     List.rev !log
   in
-  let l1 = record (fun () -> Bellman_ford.sssp g ~src:0) in
-  let l2 =
-    record (fun () -> with_reference (fun () -> Bellman_ford.sssp g ~src:0))
-  in
+  let l1 = record Active in
+  let l2 = record Reference in
   check Alcotest.int "same length" (List.length l2) (List.length l1);
   Alcotest.(check bool) "same sequence" true (l1 = l2)
 
@@ -326,17 +325,25 @@ let prop_flat_equiv_faults_telemetry =
           ~crashes:[ ((root + 2) mod n, 1, 3) ]
           ~seed ()
       in
-      let leg ~flat ~jobs =
+      let leg engine jobs =
         capture
           (fun ~observer g p ->
-            let faults = Fault.instantiate plan in
-            let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-            Sim.run ~max_rounds:300 ~observer ~faults ~telemetry ~flat ~jobs
-              g p)
+            let ctx =
+              {
+                Sim.engine;
+                jobs;
+                observer = Some observer;
+                faults = Some (Fault.instantiate plan);
+                telemetry = Some (Telemetry.create ~clock:(fun () -> 0L) ());
+                recorder = None;
+                chaos = None;
+              }
+            in
+            Sim.run ~max_rounds:300 ~ctx g p)
           g (flood_protocol root)
       in
-      let active = leg ~flat:false ~jobs:1 in
-      active = leg ~flat:true ~jobs:1 && active = leg ~flat:true ~jobs:3)
+      let active = leg Active 1 in
+      active = leg Flat 1 && active = leg Flat 3)
 
 let prop_flat_equiv_lossless =
   QCheck.Test.make
@@ -345,21 +352,23 @@ let prop_flat_equiv_lossless =
     (fun seed ->
       let g = random_graph seed in
       let root = seed mod Graph.n g in
-      let leg run =
+      let leg engine =
         capture
           (fun ~observer g p ->
             let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-            run ~observer ~telemetry g p)
+            let ctx =
+              {
+                Sim.default_ctx with
+                engine;
+                observer = Some observer;
+                telemetry = Some telemetry;
+              }
+            in
+            Sim.run ~ctx g p)
           g (flood_protocol root)
       in
-      let flat =
-        leg (fun ~observer ~telemetry g p ->
-            Sim.run ~observer ~telemetry ~flat:true g p)
-      in
-      flat = leg (fun ~observer ~telemetry g p -> Sim.run ~observer ~telemetry g p)
-      && flat
-         = leg (fun ~observer ~telemetry g p ->
-               Sim.run_reference ~observer ~telemetry g p))
+      let flat = leg Flat in
+      flat = leg Active && flat = leg Reference)
 
 let prop_flat_jobs_invariant =
   QCheck.Test.make
@@ -372,9 +381,13 @@ let prop_flat_jobs_invariant =
       (* Two scheduling regimes: the sparse fast path (no faults) and the
          full criterion sweep (faults present) must both be independent
          of the domain count. *)
+      let flat ?faults jobs ~observer =
+        { Sim.default_ctx with engine = Flat; jobs; faults;
+          observer = Some observer }
+      in
       let sparse jobs =
         capture
-          (fun ~observer g p -> Sim.run ~observer ~flat:true ~jobs g p)
+          (fun ~observer g p -> Sim.run ~ctx:(flat jobs ~observer) g p)
           g (flood_protocol root)
       in
       let swept jobs =
@@ -383,7 +396,7 @@ let prop_flat_jobs_invariant =
             let faults =
               Fault.instantiate (Fault.plan ~drop:0.1 ~seed ())
             in
-            Sim.run ~max_rounds:300 ~observer ~faults ~flat:true ~jobs g p)
+            Sim.run ~max_rounds:300 ~ctx:(flat ~faults jobs ~observer) g p)
           g (flood_protocol root)
       in
       let s1 = sparse 1 and w1 = swept 1 in
@@ -399,7 +412,11 @@ let prop_flat_native_bfs =
       let n = Graph.n g in
       let root = seed mod n in
       let tree, t_classic = Bfs.build g ~root in
-      let flat jobs = Sim.run_flat ~jobs g (Bfs.flat_protocol ~n ~root) in
+      let flat jobs =
+        Sim.run_flat
+          ~ctx:{ Sim.default_ctx with jobs }
+          g (Bfs.flat_protocol ~n ~root)
+      in
       let f1, t1 = flat 1 and f4, t4 = flat 4 in
       let same_tree = ref true in
       Array.iteri
@@ -418,19 +435,27 @@ let prop_flat_native_bfs =
    to its classic protocol — result, stats, and observer trace — with
    telemetry on, under a duplicate-only fault plan (drop/crash plans can
    legitimately stall an upcast forever, so the lossy legs stick to
-   duplication), and for any domain count.  Legs per primitive:
-   native flat at jobs 1/2/4, the classic active engine, and the classic
-   protocol through the flat engine's boxed adapter (via the deprecated
-   shim, which this file is allowlisted to touch). *)
-let with_flat_shim f =
-  Sim.use_flat_engine := true;
-  Fun.protect ~finally:(fun () -> Sim.use_flat_engine := false) f
-
-let record_leg f =
+   duplication), and for any domain count.  Legs per primitive: native
+   flat at jobs 1/2/4 and the classic active engine.  The classic
+   protocols through the flat engine's boxed adapter are covered
+   generically by "flat = active (faults + telemetry on, incl. stalls)"
+   and "flat = active = reference (lossless, telemetry on)" above. *)
+let record_leg ?faults ?(engine = Sim.Active) ?(jobs = 1) f =
   let log = ref [] in
   let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
   let telemetry = Telemetry.create ~clock:(fun () -> 0L) () in
-  let r = f ~observer ~telemetry in
+  let r =
+    f
+      {
+        Sim.engine;
+        jobs;
+        observer = Some observer;
+        faults;
+        telemetry = Some telemetry;
+        recorder = None;
+        chaos = None;
+      }
+  in
   r, List.rev !log
 
 let dup_plan seed = Fault.plan ~duplicate:0.15 ~seed ()
@@ -452,20 +477,18 @@ let prop_flat_native_bellman_ford =
         if Dsf_util.Rng.int r 2 = 0 then Some (5 + Dsf_util.Rng.int r 20)
         else None
       in
-      let leg ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Bellman_ford.run ?radius ~observer ?faults ~telemetry ?flat ?jobs
-              g ~sources)
+      let leg ?faults ?engine ?jobs () =
+        record_leg ?faults ?engine ?jobs (fun ctx ->
+            Bellman_ford.run ?radius ~ctx g ~sources)
       in
-      let base = leg ~flat:false () in
-      let faulty ?flat ?jobs () =
-        leg ~faults:(Fault.instantiate (dup_plan seed)) ?flat ?jobs ()
+      let base = leg () in
+      let faulty ?engine ?jobs () =
+        leg ~faults:(Fault.instantiate (dup_plan seed)) ?engine ?jobs ()
       in
-      base = leg ~flat:true ~jobs:1 ()
-      && base = leg ~flat:true ~jobs:2 ()
-      && base = leg ~flat:true ~jobs:4 ()
-      && base = with_flat_shim (fun () -> leg ())
-      && faulty ~flat:false () = faulty ~flat:true ~jobs:2 ())
+      base = leg ~engine:Flat ~jobs:1 ()
+      && base = leg ~engine:Flat ~jobs:2 ()
+      && base = leg ~engine:Flat ~jobs:4 ()
+      && faulty () = faulty ~engine:Flat ~jobs:2 ())
 
 let prop_flat_native_region_bf =
   QCheck.Test.make
@@ -488,20 +511,18 @@ let prop_flat_native_region_bf =
             Dsf_util.Rng.int r 6 = 0
             && not (List.exists (fun (s, _, _) -> s = v) sources))
       in
-      let leg ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Dsf_core.Region_bf.run ~observer ?faults ~telemetry ?flat ?jobs g
-              ~sources ~frozen)
+      let leg ?faults ?engine ?jobs () =
+        record_leg ?faults ?engine ?jobs (fun ctx ->
+            Dsf_core.Region_bf.run ~ctx g ~sources ~frozen)
       in
-      let base = leg ~flat:false () in
-      let faulty ?flat ?jobs () =
-        leg ~faults:(Fault.instantiate (dup_plan seed)) ?flat ?jobs ()
+      let base = leg () in
+      let faulty ?engine ?jobs () =
+        leg ~faults:(Fault.instantiate (dup_plan seed)) ?engine ?jobs ()
       in
-      base = leg ~flat:true ~jobs:1 ()
-      && base = leg ~flat:true ~jobs:2 ()
-      && base = leg ~flat:true ~jobs:4 ()
-      && base = with_flat_shim (fun () -> leg ())
-      && faulty ~flat:false () = faulty ~flat:true ~jobs:2 ())
+      base = leg ~engine:Flat ~jobs:1 ()
+      && base = leg ~engine:Flat ~jobs:2 ()
+      && base = leg ~engine:Flat ~jobs:4 ()
+      && faulty () = faulty ~engine:Flat ~jobs:2 ())
 
 let prop_flat_native_tree_ops =
   QCheck.Test.make
@@ -513,49 +534,40 @@ let prop_flat_native_tree_ops =
       let n = Graph.n g in
       let tree = fst (Bfs.build g ~root:(seed mod n)) in
       let bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
-      let up ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Tree_ops.upcast ~observer ?faults ~telemetry ?flat ?jobs g ~tree
-              ~items:(fun v -> [ v; v + n ])
-              ~bits)
+      let up ?faults ?engine ?jobs () =
+        record_leg ?faults ?engine ?jobs (fun ctx ->
+            Tree_ops.upcast ~ctx g ~tree ~items:(fun v -> [ v; v + n ]) ~bits)
       in
-      let bc ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Tree_ops.broadcast ~observer ?faults ~telemetry ?flat ?jobs g
-              ~tree ~items:[ 1; 2; 3 ] ~bits)
+      let bc ?faults ?engine ?jobs () =
+        record_leg ?faults ?engine ?jobs (fun ctx ->
+            Tree_ops.broadcast ~ctx g ~tree ~items:[ 1; 2; 3 ] ~bits)
       in
       (* The child-count handshake of [aggregate] dedups child reports by
          sender id (each child reports exactly once, so the sender is its
          own sequence stamp): duplicate-injecting plans leave the state
          trajectory — and the root's total — untouched, so the lossy legs
          below compare against each other AND against the lossless sum. *)
-      let ag ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Tree_ops.aggregate ~observer ?faults ~telemetry ?flat ?jobs g
-              ~tree ~value:Fun.id ~combine:( + ) ~bits)
+      let ag ?faults ?engine ?jobs () =
+        record_leg ?faults ?engine ?jobs (fun ctx ->
+            Tree_ops.aggregate ~ctx g ~tree ~value:Fun.id ~combine:( + ) ~bits)
       in
       let dup () = Fault.instantiate (dup_plan seed) in
-      let base_up = up ~flat:false () in
-      let base_bc = bc ~flat:false () in
-      let base_ag = ag ~flat:false () in
-      base_up = up ~flat:true ~jobs:1 ()
-      && base_up = up ~flat:true ~jobs:4 ()
-      && base_up = with_flat_shim (fun () -> up ())
-      && base_bc = bc ~flat:true ~jobs:1 ()
-      && base_bc = bc ~flat:true ~jobs:4 ()
-      && base_bc = with_flat_shim (fun () -> bc ())
-      && base_ag = ag ~flat:true ~jobs:1 ()
-      && base_ag = ag ~flat:true ~jobs:4 ()
-      && base_ag = with_flat_shim (fun () -> ag ())
-      && up ~faults:(dup ()) ~flat:false ()
-         = up ~faults:(dup ()) ~flat:true ~jobs:2 ()
-      && bc ~faults:(dup ()) ~flat:false ()
-         = bc ~faults:(dup ()) ~flat:true ~jobs:2 ()
-      && ag ~faults:(dup ()) ~flat:false ()
-         = ag ~faults:(dup ()) ~flat:true ~jobs:2 ()
+      let base_up = up () in
+      let base_bc = bc () in
+      let base_ag = ag () in
+      base_up = up ~engine:Flat ~jobs:1 ()
+      && base_up = up ~engine:Flat ~jobs:4 ()
+      && base_bc = bc ~engine:Flat ~jobs:1 ()
+      && base_bc = bc ~engine:Flat ~jobs:4 ()
+      && base_ag = ag ~engine:Flat ~jobs:1 ()
+      && base_ag = ag ~engine:Flat ~jobs:4 ()
+      && up ~faults:(dup ()) () = up ~faults:(dup ()) ~engine:Flat ~jobs:2 ()
+      && bc ~faults:(dup ()) () = bc ~faults:(dup ()) ~engine:Flat ~jobs:2 ()
+      && ag ~faults:(dup ()) () = ag ~faults:(dup ()) ~engine:Flat ~jobs:2 ()
       && fst
-           (Tree_ops.aggregate ~faults:(dup ()) g ~tree ~value:Fun.id
-              ~combine:( + ) ~bits)
+           (Tree_ops.aggregate
+              ~ctx:{ Sim.default_ctx with faults = Some (dup ()) }
+              g ~tree ~value:Fun.id ~combine:( + ) ~bits)
          = fst
              (Tree_ops.aggregate g ~tree ~value:Fun.id ~combine:( + ) ~bits))
 
@@ -580,24 +592,22 @@ let prop_flat_native_pipeline =
       let items v =
         List.filter (fun (h, _) -> h = v) items_all |> List.map snd
       in
-      let leg ?faults ?flat ?jobs ?stop_at_root () =
-        record_leg (fun ~observer ~telemetry ->
-            Pipeline.filtered_upcast ~observer ?faults ~telemetry ?flat ?jobs
-              ?stop_at_root g ~tree ~vn ~pre:[] ~items ~cmp:compare
-              ~bits:(fun _ -> 16))
+      let leg ?faults ?engine ?jobs ?stop_at_root () =
+        record_leg ?faults ?engine ?jobs (fun ctx ->
+            Pipeline.filtered_upcast ~ctx ?stop_at_root g ~tree ~vn ~pre:[]
+              ~items ~cmp:compare ~bits:(fun _ -> 16))
       in
-      let base = leg ~flat:false () in
+      let base = leg () in
       let stop acc = List.length acc >= 3 in
-      let faulty ?flat ?jobs () =
-        leg ~faults:(Fault.instantiate (dup_plan seed)) ?flat ?jobs ()
+      let faulty ?engine ?jobs () =
+        leg ~faults:(Fault.instantiate (dup_plan seed)) ?engine ?jobs ()
       in
-      base = leg ~flat:true ~jobs:1 ()
-      && base = leg ~flat:true ~jobs:2 ()
-      && base = leg ~flat:true ~jobs:4 ()
-      && base = with_flat_shim (fun () -> leg ())
-      && leg ~flat:false ~stop_at_root:stop ()
-         = leg ~flat:true ~jobs:2 ~stop_at_root:stop ()
-      && faulty ~flat:false () = faulty ~flat:true ~jobs:2 ())
+      base = leg ~engine:Flat ~jobs:1 ()
+      && base = leg ~engine:Flat ~jobs:2 ()
+      && base = leg ~engine:Flat ~jobs:4 ()
+      && leg ~stop_at_root:stop ()
+         = leg ~engine:Flat ~jobs:2 ~stop_at_root:stop ()
+      && faulty () = faulty ~engine:Flat ~jobs:2 ())
 
 let prop_flat_native_select_exchange =
   QCheck.Test.make
@@ -611,26 +621,22 @@ let prop_flat_native_select_exchange =
       let tree = fst (Bfs.build g ~root:(seed mod n)) in
       let parent = tree.Bfs.parent in
       let seeds = Array.init n (fun _ -> Dsf_util.Rng.int r 3 = 0) in
-      let tf ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Dsf_core.Select.token_flood ~observer ?faults ~telemetry ?flat
-              ?jobs g ~parent ~seeds)
+      let tf ?faults ?engine ?jobs () =
+        record_leg ?faults ?engine ?jobs (fun ctx ->
+            Dsf_core.Select.token_flood ~ctx g ~parent ~seeds)
       in
-      let ex ?faults ?flat ?jobs () =
-        record_leg (fun ~observer ~telemetry ->
-            Exchange.all_neighbors ~observer ?faults ~telemetry ?flat ?jobs g
-              ~payload_bits:9)
+      let ex ?faults ?engine ?jobs () =
+        record_leg ?faults ?engine ?jobs (fun ctx ->
+            Exchange.all_neighbors ~ctx g ~payload_bits:9)
       in
-      let base_tf = tf ~flat:false () and base_ex = ex ~flat:false () in
+      let base_tf = tf () and base_ex = ex () in
       let dup () = Fault.instantiate (dup_plan seed) in
-      base_tf = tf ~flat:true ~jobs:1 ()
-      && base_tf = tf ~flat:true ~jobs:4 ()
-      && base_tf = with_flat_shim (fun () -> tf ())
-      && base_ex = ex ~flat:true ~jobs:1 ()
-      && base_ex = ex ~flat:true ~jobs:4 ()
-      && base_ex = with_flat_shim (fun () -> ex ())
-      && tf ~faults:(dup ()) ~flat:false () = tf ~faults:(dup ()) ~flat:true ~jobs:2 ()
-      && ex ~faults:(dup ()) ~flat:false () = ex ~faults:(dup ()) ~flat:true ~jobs:2 ())
+      base_tf = tf ~engine:Flat ~jobs:1 ()
+      && base_tf = tf ~engine:Flat ~jobs:4 ()
+      && base_ex = ex ~engine:Flat ~jobs:1 ()
+      && base_ex = ex ~engine:Flat ~jobs:4 ()
+      && tf ~faults:(dup ()) () = tf ~faults:(dup ()) ~engine:Flat ~jobs:2 ()
+      && ex ~faults:(dup ()) () = ex ~faults:(dup ()) ~engine:Flat ~jobs:2 ())
 
 let test_det_dsf_flat_e2e () =
   (* Full solve: every subroutine on the flat engine (native ports where
@@ -673,11 +679,73 @@ let test_flat_adapter_inbox_order () =
     }
   in
   let (s1, t1), (s2, t2) =
-    ( Sim.run ~flat:true g two_roots,
+    ( Sim.run ~ctx:{ Sim.default_ctx with engine = Flat } g two_roots,
       Sim.run g two_roots )
   in
   Alcotest.(check bool) "states" true (s1 = s2);
   Alcotest.(check bool) "stats" true (stats_eq t1 t2)
+
+(* ---------------------------------------------------------- run context *)
+
+let expect_invalid name f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+  | exception Invalid_argument _ -> ()
+
+let test_ctx_chaos_rejected () =
+  (* Hardening wraps the protocol, so only Fault.sim_run may consume a
+     chaos context; every engine entry point refuses one. *)
+  let g = Gen.path 4 in
+  let chaos = Some (Fault.chaos (Fault.plan ~drop:0.1 ~seed:1 ())) in
+  let ctx = { Sim.default_ctx with chaos } in
+  expect_invalid "Sim.run" (fun () -> Sim.run ~ctx g (flood_protocol 0));
+  expect_invalid "Sim.run (flat)" (fun () ->
+      Sim.run ~ctx:{ ctx with engine = Flat } g (flood_protocol 0));
+  expect_invalid "Sim.run_reference" (fun () ->
+      Sim.run_reference ~ctx g (flood_protocol 0));
+  expect_invalid "Sim.run_flat" (fun () ->
+      Sim.run_flat ~ctx g (Sim.flat_of_protocol (flood_protocol 0)));
+  (* ... while the primitives route it through Fault.sim_run. *)
+  let tree, _ = Bfs.build ~ctx g ~root:0 in
+  check Alcotest.int "hardened BFS height" 3 tree.Bfs.height
+
+let test_ctx_reference_rejects_faults () =
+  let g = Gen.path 4 in
+  let ctx =
+    {
+      Sim.default_ctx with
+      engine = Reference;
+      faults = Some (Fault.instantiate Fault.empty);
+    }
+  in
+  expect_invalid "Sim.run" (fun () -> Sim.run ~ctx g (flood_protocol 0));
+  expect_invalid "Sim.run_reference" (fun () ->
+      Sim.run_reference ~ctx g (flood_protocol 0))
+
+let test_flat_jobs_clamped () =
+  (* run_flat stages mail in jobs × n buffers, so it clamps jobs to the
+     pool's cap: asking for n domains must allocate exactly what asking
+     for hard_cap does.  A zero round limit aborts before the first
+     round, so the count is the run's setup alone and no pool domain
+     takes part in it. *)
+  let cap = Dsf_util.Pool.hard_cap in
+  let n = 2 * cap in
+  let g = Gen.path n in
+  let words jobs =
+    let ctx = { Sim.default_ctx with engine = Flat; jobs } in
+    let before = Gc.minor_words () in
+    (match
+       Sim.run_flat ~max_rounds:0 ~ctx g (Bfs.flat_protocol ~n ~root:0)
+     with
+    | _ -> Alcotest.fail "expected the zero round limit to abort"
+    | exception Sim.Round_limit _ -> ());
+    Gc.minor_words () -. before
+  in
+  (* The first run builds the graph's memoized CSR view. *)
+  ignore (words 1);
+  let at_cap = words cap in
+  let at_n = words n in
+  check (Alcotest.float 0.) "words at jobs = n vs jobs = hard_cap" at_cap at_n
 
 let suites =
   [
@@ -708,5 +776,11 @@ let suites =
         Alcotest.test_case "halt hook" `Quick test_halt_equiv;
         Alcotest.test_case "skips idle nodes" `Quick test_scheduler_skips_idle;
         Alcotest.test_case "observer order" `Quick test_observer_order_identical;
+        Alcotest.test_case "chaos context rejected" `Quick
+          test_ctx_chaos_rejected;
+        Alcotest.test_case "reference rejects faults" `Quick
+          test_ctx_reference_rejects_faults;
+        Alcotest.test_case "flat jobs clamped to the pool cap" `Quick
+          test_flat_jobs_clamped;
       ] );
   ]
