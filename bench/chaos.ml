@@ -113,7 +113,11 @@ let soak () =
     ]
   in
   let engines =
-    [ "classic", Sim.Active, 1; "flat j1", Sim.Flat, 1; "flat j4", Sim.Flat, 4 ]
+    [
+      "reference", Sim.Reference, 1;
+      "flat j1", Sim.Flat, 1;
+      "flat j4", Sim.Flat, 4;
+    ]
   in
   let failures = ref 0 in
   List.iter
@@ -129,7 +133,7 @@ let soak () =
                     { Sim.default_ctx with engine; jobs; chaos = Some chaos }
                   (fun ~masked ~retrans ~dropped ->
                     Format.printf
-                      "%-9s %-14s %-8s %-8s retrans %6d, dropped %6d@."
+                      "%-9s %-14s %-9s %-8s retrans %6d, dropped %6d@."
                       cname leg.sname ename
                       (if masked then "masked" else "DIVERGED")
                       retrans dropped;

@@ -17,8 +17,9 @@
                                               nonzero on divergence; prints a
                                               post-mortem on a round-limit
                                               abort)
-   dune exec bench/main.exe -- flatcheck   -- flat-vs-active engine differential
-                                              smoke (exits nonzero on divergence)
+   dune exec bench/main.exe -- flatcheck   -- flat-vs-reference engine
+                                              differential smoke (exits
+                                              nonzero on divergence)
    dune exec bench/main.exe -- compare OLD.json NEW.json
                                            -- diff two BENCH_sim.json files
                                               (rounds/s, words/round, phase

@@ -5,20 +5,20 @@
 
    Two layers:
    - [run] (the `-- micro` mode): the full suite, plus head-to-head
-     active-set vs reference-engine runs of the sparse-activity protocols.
+     flat-engine vs reference-loop runs of the sparse-activity protocols.
    - [smoke] (the `-- smoke` mode): only the engine head-to-heads at a tiny
      measurement quota — fast enough for every-PR CI (bin/ci.sh).
 
-   Both modes write BENCH_sim.json (schema dsf-bench-sim/8: ns/run, minor GC
-   words/run, rounds/s, the active/reference/flat speedups, plus
+   Both modes write BENCH_sim.json (schema dsf-bench-sim/9: ns/run, minor GC
+   words/run, rounds/s, the flat-vs-reference speedups, plus
    provenance — git_rev, utc_date, jobs, cores — a parallel_scaling
    section timing the pooled fan-outs at jobs = 1 / 2 / max (each row
    carrying the detected core count and a "saturated" flag on points
    asking for more domains than cores), a flat_engine section with every
    native flat port's headline numbers (rounds/s and minor words/round on
-   paths at n = 256 / 4096 / 16384, jobs = 1 / 2 / 4, vs the active
-   engine — what bin/ci.sh's per-workload GC gate reads), a flat_e2e
-   section with end-to-end flat det_dsf solves on path / random / gadget
+   paths at n = 256 / 4096 / 16384, filtered upcast only up to 4096,
+   jobs = 1 / 2 / 4 — what bin/ci.sh's per-workload GC gate reads), a
+   flat_e2e section with end-to-end flat det_dsf solves on path / random / gadget
    instances at the same sizes, a fault_overhead section
    tabulating the round/message/retransmission cost of Fault.harden at
    increasing drop probability, a fault_recovery section tabulating the
@@ -71,9 +71,8 @@ let reference_ctx = { Sim.default_ctx with engine = Reference }
 let flat_ctx jobs = { Sim.default_ctx with engine = Flat; jobs }
 
 (* Each case is a sparse-activity CONGEST workload returning its stats; it
-   is benchmarked once on the active-set engine and once on the kept seed
-   loop.  The acceptance metric of the active-set scheduler PR is the
-   speedup column derived from these pairs. *)
+   is benchmarked once on the flat engine and once on the kept seed loop,
+   and the speedup column is derived from these pairs. *)
 let sim_cases : (string * (ctx:Sim.ctx -> Sim.stats)) list =
   [
     ( "bf random n=40",
@@ -113,9 +112,6 @@ let sim_tests =
     (fun (nm, thunk) ->
       [
         Test.make
-          ~name:(Printf.sprintf "sim/%s [active]" nm)
-          (Staged.stage (fun () -> ignore (thunk ~ctx:Sim.default_ctx)));
-        Test.make
           ~name:(Printf.sprintf "sim/%s [reference]" nm)
           (Staged.stage (fun () -> ignore (thunk ~ctx:reference_ctx)));
         Test.make
@@ -135,8 +131,7 @@ let sim_rounds =
 let rounds_of name =
   List.find_map
     (fun (nm, rounds) ->
-      if name = Printf.sprintf "sim/%s [active]" nm
-         || name = Printf.sprintf "sim/%s [reference]" nm
+      if name = Printf.sprintf "sim/%s [reference]" nm
          || name = Printf.sprintf "sim/%s [flat]" nm
       then Some rounds
       else None)
@@ -274,13 +269,8 @@ let print_rows rows =
         r.r2 r.minor_words rps)
     rows
 
-(* Active/reference/flat triples -> measured speedups. *)
-type speedup = {
-  workload : string;
-  active_ns : float;
-  reference_ns : float;
-  flat_ns : float;
-}
+(* Reference/flat pairs -> measured speedups. *)
+type speedup = { workload : string; reference_ns : float; flat_ns : float }
 
 let speedups rows =
   List.filter_map
@@ -290,22 +280,25 @@ let speedups rows =
           (fun r -> r.name = Printf.sprintf "sim/%s [%s]" nm suffix)
           rows
       in
-      match find "active", find "reference", find "flat" with
-      | Some a, Some r, Some f ->
-          Some { workload = nm; active_ns = a.ns_per_run;
-                 reference_ns = r.ns_per_run; flat_ns = f.ns_per_run }
+      match find "reference", find "flat" with
+      | Some r, Some f ->
+          Some
+            {
+              workload = nm;
+              reference_ns = r.ns_per_run;
+              flat_ns = f.ns_per_run;
+            }
       | _ -> None)
     sim_cases
 
 let print_speedups sp =
-  Format.printf "@.%-42s %14s %14s %12s %9s %9s@." "engine speedups"
-    "active ns" "reference ns" "flat ns" "act x" "flat x";
+  Format.printf "@.%-42s %14s %12s %9s@." "engine speedups" "reference ns"
+    "flat ns" "flat x";
   List.iter
     (fun s ->
-      Format.printf "%-42s %14.0f %14.0f %12.0f %9.2f %9.2f@." s.workload
-        s.active_ns s.reference_ns s.flat_ns
-        (s.reference_ns /. s.active_ns)
-        (s.active_ns /. s.flat_ns))
+      Format.printf "%-42s %14.0f %12.0f %9.2f@." s.workload s.reference_ns
+        s.flat_ns
+        (s.reference_ns /. s.flat_ns))
     sp
 
 (* ------------------------------------------------------- parallel scaling *)
@@ -416,18 +409,10 @@ let print_scaling scaling =
 
 (* Whole-run wall clock + coordinator-domain GC for every native
    flat-engine port, each on a path — the highest-diameter,
-   sparsest-activity workload, i.e. the active scheduler's worst case —
-   against the active engine running the classic protocol on the same
-   graph.  Sizes and jobs are fixed so later PRs diff like against like;
-   the jobs=1 minor-words column at n=256 of each workload is what
-   bin/ci.sh's per-workload GC gate reads.  Workloads whose *classic*
-   protocol steps every node every round (BFS's not-done sweep, the
-   pipeline's wake hook, token flood's wake=None sweep — O(n^2) total on
-   a path) get active baselines only up to a per-workload cap: capped
-   rows carry speedup_vs_active = null and the cap is printed — never
-   silent.  Workloads whose classic leg already rides the sparse active
-   list (Bellman-Ford, region BF, upcast) are measured at every size and
-   honestly show constant-factor speedups only. *)
+   sparsest-activity workload, i.e. a scheduler's worst case.  Sizes and
+   jobs are fixed so later PRs diff like against like; the jobs=1
+   minor-words column at n=256 of each workload is what bin/ci.sh's
+   per-workload GC gate reads. *)
 
 type flat_row = {
   fl_workload : string;
@@ -437,9 +422,6 @@ type flat_row = {
   fl_wall_ns : float;
   fl_rps : float;
   fl_words_per_round : float;
-  fl_speedup : float;
-      (* vs the active engine on the classic protocol; nan (-> JSON null)
-         where the baseline is capped *)
 }
 
 let flat_sizes = [ 256; 4096; 16384 ]
@@ -447,9 +429,7 @@ let flat_smoke_sizes = [ 256; 4096 ]
 let flat_jobs_points = [ 1; 2; 4 ]
 
 (* Shared per-size fixtures, built once outside any timed region (the CSR
-   view is a one-time per-graph cost every engine shares).  The tree
-   fixtures are built by the *native* flat BFS: the classic build is
-   itself the O(n^2) baseline this section measures. *)
+   view is a one-time per-graph cost every run shares). *)
 let flat_graph =
   let cache = Hashtbl.create 4 in
   fun n ->
@@ -473,36 +453,30 @@ let flat_tree =
         Hashtbl.replace cache n t;
         t
 
-(* One entry per ported primitive: name, active-baseline size cap, and a
-   per-n constructor returning the active thunk and the flat runner.  The
-   tree workloads give every 16th node one item, so the pipelined message
-   volume stays ~n^2/16 and the rows measure scheduling, not payload
-   shuffling. *)
-let flat_workloads :
-    (string * int * (int -> (unit -> Sim.stats) * (int -> Sim.stats))) list =
+(* One entry per ported primitive: name, largest n it is measured at, and
+   a per-n constructor that builds the fixtures outside any timed region
+   and returns the flat runner (jobs -> stats).  The tree workloads give
+   every 16th node one item, so the pipelined message volume stays
+   ~n^2/16 and the rows measure scheduling, not payload shuffling. *)
+let flat_workloads : (string * int * (int -> int -> Sim.stats)) list =
   let item_bits x = Dsf_util.Bitsize.int_bits (max 1 x) in
   [
     ( "bfs path",
       max_int,
       fun n ->
         let g = flat_graph n in
-        ( (fun () -> snd (Sim.run g (Dsf_congest.Bfs.protocol ~root:0))),
-          fun jobs ->
-            snd
-              (Sim.run_flat ~ctx:(flat_ctx jobs) g
-                 (Dsf_congest.Bfs.flat_protocol ~n:(Dsf_graph.Graph.n g)
-                    ~root:0))
-        ) );
+        fun jobs ->
+          snd
+            (Sim.run_flat ~ctx:(flat_ctx jobs) g
+               (Dsf_congest.Bfs.flat_protocol ~n:(Dsf_graph.Graph.n g)
+                  ~root:0)) );
     ( "bellman_ford path",
       max_int,
       fun n ->
         let g = flat_graph n in
         let sources = [ 0, 0; n - 1, 0 ] in
-        ( (fun () ->
-            snd (Dsf_congest.Bellman_ford.run g ~sources)),
-          fun jobs ->
-            snd
-              (Dsf_congest.Bellman_ford.run ~ctx:(flat_ctx jobs) g ~sources) )
+        fun jobs ->
+          snd (Dsf_congest.Bellman_ford.run ~ctx:(flat_ctx jobs) g ~sources)
     );
     ( "region_bf path",
       max_int,
@@ -512,22 +486,21 @@ let flat_workloads :
           [ 0, Dsf_core.Frac.zero, 0; n - 1, Dsf_core.Frac.zero, n - 1 ]
         in
         let frozen = Array.make n false in
-        ( (fun () ->
-            snd (Dsf_core.Region_bf.run g ~sources ~frozen)),
-          fun jobs ->
-            snd
-              (Dsf_core.Region_bf.run ~ctx:(flat_ctx jobs) g ~sources ~frozen)
-        ) );
+        fun jobs ->
+          snd
+            (Dsf_core.Region_bf.run ~ctx:(flat_ctx jobs) g ~sources ~frozen) );
     ( "upcast path",
       max_int,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
         let items v = if v > 0 && v mod 16 = 0 then [ v ] else [] in
-        let run ?ctx () =
-          snd (Dsf_congest.Tree_ops.upcast ?ctx g ~tree ~items ~bits:item_bits)
-        in
-        ((fun () -> run ()), fun jobs -> run ~ctx:(flat_ctx jobs) ()) );
+        fun jobs ->
+          snd
+            (Dsf_congest.Tree_ops.upcast ~ctx:(flat_ctx jobs) g ~tree ~items
+               ~bits:item_bits) );
     ( "filtered_upcast path",
+      (* Every node keeps a union-find over all [vn = n] virtual nodes:
+         n^2 words, 2 GiB at n = 16384. *)
       4096,
       fun n ->
         let g = flat_graph n and tree = flat_tree n in
@@ -536,58 +509,44 @@ let flat_workloads :
             [ { Dsf_congest.Pipeline.key = (1, v); a = v - 1; b = v } ]
           else []
         in
-        let run ?ctx () =
+        fun jobs ->
           snd
-            (Dsf_congest.Pipeline.filtered_upcast ?ctx g ~tree ~vn:n ~pre:[]
-               ~items ~cmp:compare ~bits:(fun _ -> 30))
-        in
-        ((fun () -> run ()), fun jobs -> run ~ctx:(flat_ctx jobs) ()) );
+            (Dsf_congest.Pipeline.filtered_upcast ~ctx:(flat_ctx jobs) g ~tree
+               ~vn:n ~pre:[] ~items ~cmp:compare ~bits:(fun _ -> 30)) );
     ( "token_flood path",
-      4096,
+      max_int,
       fun n ->
         let g = flat_graph n in
         let parent = Array.init n (fun v -> v - 1) in
         let seeds = Array.make n false in
         seeds.(n - 1) <- true;
-        ( (fun () ->
-            snd (Dsf_core.Select.token_flood g ~parent ~seeds)),
-          fun jobs ->
-            snd
-              (Dsf_core.Select.token_flood ~ctx:(flat_ctx jobs) g ~parent
-                 ~seeds)
-        ) );
+        fun jobs ->
+          snd
+            (Dsf_core.Select.token_flood ~ctx:(flat_ctx jobs) g ~parent ~seeds)
+    );
     ( "exchange path",
       max_int,
       fun n ->
         let g = flat_graph n in
-        ( (fun () ->
-            Dsf_congest.Exchange.all_neighbors g ~payload_bits:9),
-          fun jobs ->
-            Dsf_congest.Exchange.all_neighbors ~ctx:(flat_ctx jobs) g
-              ~payload_bits:9 ) );
+        fun jobs ->
+          Dsf_congest.Exchange.all_neighbors ~ctx:(flat_ctx jobs) g
+            ~payload_bits:9 );
   ]
 
 let measure_flat ~sizes () =
   List.concat_map
-    (fun (workload, active_cap, make) ->
+    (fun (workload, max_n, make) ->
       List.concat_map
         (fun n ->
-          let active, flat = make n in
-          let active_ns =
-            if n <= active_cap then begin
-              let t0 = Unix.gettimeofday () in
-              ignore (active ());
-              (Unix.gettimeofday () -. t0) *. 1e9
-            end
-            else begin
-              Format.printf
-                "flat_engine: active baseline for %S skipped at n=%d (the \
-                 classic protocol sweeps every node every round; capped at \
-                 n=%d)@."
-                workload n active_cap;
-              nan
-            end
-          in
+          if n > max_n then begin
+            Format.printf
+              "flat_engine: %S skipped at n=%d (n^2-word node state; capped \
+               at n=%d)@."
+              workload n max_n;
+            []
+          end
+          else
+          let flat = make n in
           (* Seconds-long flat runs at the top size are stable enough for a
              single repetition; the small sizes keep best-of-3. *)
           let reps = if n >= 16384 then 1 else 3 in
@@ -614,20 +573,19 @@ let measure_flat ~sizes () =
                 fl_wall_ns = !best;
                 fl_rps = float_of_int !rounds *. 1e9 /. !best;
                 fl_words_per_round = !words /. float_of_int (max 1 !rounds);
-                fl_speedup = active_ns /. !best;
               })
             flat_jobs_points)
         sizes)
     flat_workloads
 
 let print_flat rows =
-  Format.printf "@.%-28s %8s %6s %8s %14s %12s %14s %10s@." "flat engine"
-    "n" "jobs" "rounds" "wall ns" "rounds/s" "words/round" "x vs act";
+  Format.printf "@.%-28s %8s %6s %8s %14s %12s %14s@." "flat engine" "n"
+    "jobs" "rounds" "wall ns" "rounds/s" "words/round";
   List.iter
     (fun f ->
-      Format.printf "%-28s %8d %6d %8d %14.0f %12.3e %14.1f %10.1f@."
-        f.fl_workload f.fl_n f.fl_jobs f.fl_rounds f.fl_wall_ns f.fl_rps
-        f.fl_words_per_round f.fl_speedup)
+      Format.printf "%-28s %8d %6d %8d %14.0f %12.3e %14.1f@." f.fl_workload
+        f.fl_n f.fl_jobs f.fl_rounds f.fl_wall_ns f.fl_rps
+        f.fl_words_per_round)
     rows
 
 (* --------------------------------------------------------------- flat e2e *)
@@ -637,12 +595,7 @@ let print_flat rows =
    the demonstration that the whole Theorem 4.17 emulation runs at
    n >= 10^4.  Three instance families: the path (wavefront-dominated
    worst case), a random connected graph (shallow), and the scaled
-   Figure-1 set-disjointness gadget.  `-- micro` measures the
-   active-engine baseline at every size (the classic path solve costs
-   about a minute at n = 16384 — the pipelined legs sweep every node
-   every round); `-- smoke` caps it at n <= 256 to stay inside the CI
-   budget.  Rows past the cap carry speedup_vs_active = null, and the cap
-   is printed, never silent.  [e2_rounds] and [e2_weight] are
+   Figure-1 set-disjointness gadget.  [e2_rounds] and [e2_weight] are
    deterministic and jobs-invariant (the differential suite proves the
    flat solve bit-identical), so bin/ci.sh's jobs-diff covers them. *)
 
@@ -655,7 +608,6 @@ type e2e_row = {
   e2_wall_ns : float;
   e2_rps : float;
   e2_words_per_round : float;
-  e2_speedup : float;
 }
 
 let e2e_instance family n =
@@ -679,30 +631,16 @@ let e2e_instance family n =
       (Dsf_lower_bound.Gadgets.ic_gadget ~universe ~a ~b)
         .Dsf_lower_bound.Gadgets.ic
 
-let measure_e2e ~sizes ~active_max_n () =
+let measure_e2e ~sizes () =
   List.concat_map
     (fun (name, fam) ->
       List.map
         (fun n ->
           let inst = e2e_instance fam n in
           ignore (Dsf_graph.Graph.csr inst.Inst.graph);
-          let active_ns =
-            if n <= active_max_n then begin
-              let t0 = Unix.gettimeofday () in
-              ignore (Dsf_core.Det_dsf.run ~flat:false inst);
-              (Unix.gettimeofday () -. t0) *. 1e9
-            end
-            else begin
-              Format.printf
-                "flat_e2e: active baseline for %S skipped at n=%d (classic \
-                 solve exceeds the bench budget past n=%d)@."
-                name n active_max_n;
-              nan
-            end
-          in
           let w0 = Gc.minor_words () in
           let t0 = Unix.gettimeofday () in
-          let r = Dsf_core.Det_dsf.run ~flat:true inst in
+          let r = Dsf_core.Det_dsf.run inst in
           let ns = (Unix.gettimeofday () -. t0) *. 1e9 in
           let words = Gc.minor_words () -. w0 in
           let rounds =
@@ -717,21 +655,20 @@ let measure_e2e ~sizes ~active_max_n () =
             e2_wall_ns = ns;
             e2_rps = float_of_int rounds *. 1e9 /. ns;
             e2_words_per_round = words /. float_of_int (max 1 rounds);
-            e2_speedup = active_ns /. ns;
           })
         sizes)
     [ "det_dsf path", `Path; "det_dsf random", `Random;
       "det_dsf gadget", `Gadget ]
 
 let print_e2e rows =
-  Format.printf "@.%-28s %8s %6s %10s %10s %14s %12s %14s %10s@."
+  Format.printf "@.%-28s %8s %6s %10s %10s %14s %12s %14s@."
     "flat e2e (det_dsf)" "n" "jobs" "rounds" "weight" "wall ns" "rounds/s"
-    "words/round" "x vs act";
+    "words/round";
   List.iter
     (fun e ->
-      Format.printf "%-28s %8d %6d %10d %10d %14.0f %12.3e %14.1f %10.1f@."
+      Format.printf "%-28s %8d %6d %10d %10d %14.0f %12.3e %14.1f@."
         e.e2_workload e.e2_n e.e2_jobs e.e2_rounds e.e2_weight e.e2_wall_ns
-        e.e2_rps e.e2_words_per_round e.e2_speedup)
+        e.e2_rps e.e2_words_per_round)
     rows
 
 (* ----------------------------------------------------- recorder overhead *)
@@ -776,13 +713,13 @@ let measure_recorder () =
         (Option.get !res, !b)
       in
       let base, base_ns =
-        best (fun () -> Dsf_core.Det_dsf.run ~flat:true inst)
+        best (fun () -> Dsf_core.Det_dsf.run inst)
       in
       let rcd, rec_ns =
         best (fun () ->
             let r = Dsf_congest.Recorder.create ~now:0 () in
             let tel = Dsf_congest.Telemetry.create ~recorder:r () in
-            let res = Dsf_core.Det_dsf.run ~flat:true ~telemetry:tel inst in
+            let res = Dsf_core.Det_dsf.run ~telemetry:tel inst in
             if res.Dsf_core.Det_dsf.weight <> base.Dsf_core.Det_dsf.weight
             then failwith "recorder_overhead: recording changed the solve";
             r)
@@ -816,11 +753,11 @@ let print_recorder rows =
 
 (* ------------------------------------------------------- flatcheck smoke *)
 
-(* Flat-vs-active differential smoke for bin/ci.sh (`-- flatcheck`): a
-   handful of stock workloads through both engines, comparing full results
-   (states, trees, stats); exits nonzero on any divergence — the same
-   contract the qcheck differential suite enforces, as a standalone CI
-   step that needs no test runner. *)
+(* Flat-vs-reference differential smoke for bin/ci.sh (`-- flatcheck`): a
+   handful of stock workloads on the flat engine and on the reference
+   loop, comparing full results (states, trees, stats); exits nonzero on
+   any divergence — the same contract the qcheck differential suite
+   enforces, as a standalone CI step that needs no test runner. *)
 let flat_check () =
   let ok = ref true in
   let check name b =
@@ -829,16 +766,17 @@ let flat_check () =
   in
   let g40 = Lazy.force shared_graph in
   let p256 = Lazy.force path256 in
-  let flat = flat_ctx 1 in
-  let bf ?ctx g = Dsf_congest.Bellman_ford.sssp ?ctx g ~src:0 in
-  check "bellman-ford random n=40" (bf g40 = bf ~ctx:flat g40);
-  check "bellman-ford path n=256" (bf p256 = bf ~ctx:flat p256);
-  let bfs ?ctx g = Dsf_congest.Bfs.build ?ctx g ~root:0 in
-  check "bfs random n=40" (bfs g40 = bfs ~ctx:flat g40);
+  let flat = flat_ctx 1 and reference = reference_ctx in
+  let bf ~ctx g = Dsf_congest.Bellman_ford.sssp ~ctx g ~src:0 in
+  check "bellman-ford random n=40" (bf ~ctx:reference g40 = bf ~ctx:flat g40);
+  check "bellman-ford path n=256"
+    (bf ~ctx:reference p256 = bf ~ctx:flat p256);
+  let bfs ~ctx g = Dsf_congest.Bfs.build ~ctx g ~root:0 in
+  check "bfs random n=40" (bfs ~ctx:reference g40 = bfs ~ctx:flat g40);
   (* The native flat BFS must reproduce the classic tree and stats. *)
-  let tree, stats = bfs p256 in
+  let tree, stats = bfs ~ctx:reference p256 in
   let fstates, fstats =
-    Sim.run_flat p256
+    Sim.run_flat ~ctx:flat p256
       (Dsf_congest.Bfs.flat_protocol ~n:(Dsf_graph.Graph.n p256) ~root:0)
   in
   let n = Dsf_graph.Graph.n p256 in
@@ -1195,7 +1133,7 @@ let json_float x =
 let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
-  p "{\n  \"schema\": \"dsf-bench-sim/8\",\n  \"mode\": %S,\n" mode;
+  p "{\n  \"schema\": \"dsf-bench-sim/9\",\n  \"mode\": %S,\n" mode;
   p "  \"git_rev\": \"%s\",\n" (json_escape (git_rev ()));
   p "  \"utc_date\": \"%s\",\n" (utc_date ());
   p "  \"jobs\": %d,\n" jobs;
@@ -1222,12 +1160,11 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
   List.iteri
     (fun i (s : speedup) ->
       p
-        "    {\"workload\": \"%s\", \"active_ns\": %s, \"reference_ns\": %s, \
-         \"flat_ns\": %s, \"speedup\": %s, \"flat_speedup\": %s}%s\n"
-        (json_escape s.workload) (json_float s.active_ns)
-        (json_float s.reference_ns) (json_float s.flat_ns)
-        (json_float (s.reference_ns /. s.active_ns))
-        (json_float (s.active_ns /. s.flat_ns))
+        "    {\"workload\": \"%s\", \"reference_ns\": %s, \"flat_ns\": %s, \
+         \"flat_speedup\": %s}%s\n"
+        (json_escape s.workload) (json_float s.reference_ns)
+        (json_float s.flat_ns)
+        (json_float (s.reference_ns /. s.flat_ns))
         (if i = List.length sp - 1 then "" else ","))
     sp;
   p "  ],\n  \"parallel_scaling\": [\n";
@@ -1254,12 +1191,11 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
       p
         "    {\"workload\": \"%s\", \"n\": %d, \"jobs\": %d, \
          \"rounds\": %d, \"wall_ns\": %s, \"rounds_per_sec\": %s, \
-         \"minor_words_per_round\": %s, \"speedup_vs_active\": %s}%s\n"
+         \"minor_words_per_round\": %s}%s\n"
         (json_escape f.fl_workload) f.fl_n f.fl_jobs f.fl_rounds
         (json_float f.fl_wall_ns)
         (json_float f.fl_rps)
         (json_float f.fl_words_per_round)
-        (json_float f.fl_speedup)
         (if i = List.length flat - 1 then "" else ","))
     flat;
   p "  ],\n  \"flat_e2e\": [\n";
@@ -1268,12 +1204,11 @@ let write_json ~mode ~jobs rows sp scaling fo fr flat e2e rcd profile path =
       p
         "    {\"workload\": \"%s\", \"n\": %d, \"jobs\": %d, \"rounds\": %d, \
          \"weight\": %d, \"wall_ns\": %s, \"rounds_per_sec\": %s, \
-         \"minor_words_per_round\": %s, \"speedup_vs_active\": %s}%s\n"
+         \"minor_words_per_round\": %s}%s\n"
         (json_escape e.e2_workload) e.e2_n e.e2_jobs e.e2_rounds e.e2_weight
         (json_float e.e2_wall_ns)
         (json_float e.e2_rps)
         (json_float e.e2_words_per_round)
-        (json_float e.e2_speedup)
         (if i = List.length e2e - 1 then "" else ","))
     e2e;
   p "  ],\n  \"fault_overhead\": [\n";
@@ -1348,7 +1283,7 @@ let run ?(jobs = Dsf_util.Pool.default_jobs ()) ?(out = "BENCH_sim.json") () =
   print_scaling scaling;
   let flat = measure_flat ~sizes:flat_sizes () in
   print_flat flat;
-  let e2e = measure_e2e ~sizes:flat_sizes ~active_max_n:max_int () in
+  let e2e = measure_e2e ~sizes:flat_sizes () in
   print_e2e e2e;
   let fo = fault_overhead () in
   print_fault_overhead fo;
@@ -1373,7 +1308,7 @@ let smoke ?(jobs = Dsf_util.Pool.default_jobs ()) ?(out = "BENCH_sim.json") () =
   print_scaling scaling;
   let flat = measure_flat ~sizes:flat_smoke_sizes () in
   print_flat flat;
-  let e2e = measure_e2e ~sizes:[ 256 ] ~active_max_n:256 () in
+  let e2e = measure_e2e ~sizes:[ 256 ] () in
   print_e2e e2e;
   let fo = fault_overhead () in
   print_fault_overhead fo;

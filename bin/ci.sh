@@ -63,7 +63,7 @@ with_timeout 600 dune exec bench/main.exe -- chaos-soak
 # End-to-end chaos differential: a full det_dsf solve under a seeded
 # maskable chaos plan (drops + duplicates + finite link outages +
 # crash-restart with recovery) must produce the same solution and
-# certificate as the fault-free solve, on both engines.  Only the
+# certificate as the fault-free solve, at jobs 1 and 2.  Only the
 # solution/certificate lines are compared — round counts legitimately
 # differ (the synchronizer pays for the faults).
 chaos_extract() { grep -E '^(solution weight|certified)' "$1"; }
@@ -72,7 +72,7 @@ with_timeout 300 dune exec bin/dsf_cli.exe -- solve --algo det \
   > "$scratch/solve_ff.out"
 with_timeout 600 dune exec bin/dsf_cli.exe -- solve --algo det \
   --topology random --nodes 96 --terminals 12 --components 4 --seed 7 \
-  --chaos 5 > "$scratch/solve_chaos.out"
+  --chaos 5 --jobs 1 > "$scratch/solve_chaos.out"
 with_timeout 600 dune exec bin/dsf_cli.exe -- solve --algo det \
   --topology random --nodes 96 --terminals 12 --components 4 --seed 7 \
   --chaos 5 --flat --jobs 2 > "$scratch/solve_chaos_flat.out"
@@ -84,10 +84,10 @@ for leg in solve_chaos solve_chaos_flat; do
     exit 1
   fi
 done
-echo "ci: det_dsf chaos differential ok (classic + flat j2, n=96)"
+echo "ci: det_dsf chaos differential ok (flat j1 + flat j2, n=96)"
 
 # Flat-engine smoke: stock workloads through the flat-core engine must
-# reproduce the active engine's states, trees and stats exactly (the
+# reproduce the reference loop's states, trees and stats exactly (the
 # standalone counterpart of the qcheck differential suite).
 with_timeout 300 dune exec bench/main.exe -- flatcheck
 
@@ -180,7 +180,7 @@ with_timeout 600 dune exec bench/main.exe -- smoke --jobs 2 --out "$scratch/benc
 # (jobs, utc_date); everything left must match exactly.
 strip_timing() {
   sed -E \
-    -e 's/"(ns_per_run|r_square|minor_words_per_run|minor_words_per_round|rounds_per_sec|active_ns|reference_ns|flat_ns|flat_speedup|speedup_vs_j1|speedup_vs_active|speedup|wall_ns|base_wall_ns|rec_wall_ns|overhead_pct|wall_overhead)": [^,}]*/"\1": _/g' \
+    -e 's/"(ns_per_run|r_square|minor_words_per_run|minor_words_per_round|rounds_per_sec|reference_ns|flat_ns|flat_speedup|speedup_vs_j1|wall_ns|base_wall_ns|rec_wall_ns|overhead_pct|wall_overhead)": [^,}]*/"\1": _/g' \
     -e 's/"(utc_date|jobs)": [^,}]*/"\1": _/g' \
     "$1"
 }

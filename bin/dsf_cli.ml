@@ -109,7 +109,7 @@ let write_trace = function
       if path <> "-" then Format.printf "wrote trace to %s@." path
 
 let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
-    flat chaos_seed record trace trace_format =
+    _flat chaos_seed record trace trace_format =
   check_jobs jobs;
   let recorder =
     Option.map (fun _ -> Dsf_congest.Recorder.create ()) record
@@ -165,8 +165,7 @@ let solve_cmd algo topology n t k max_w seed eps_den verbose file dot_out jobs
   let weight, solution, ledger, dual =
     match algo with
     | "det" ->
-        let flat = if flat then Some true else None in
-        let r = Dsf_core.Det_dsf.run ?telemetry ?flat ?chaos ~jobs inst in
+        let r = Dsf_core.Det_dsf.run ?telemetry ?chaos ~jobs inst in
         ( r.Dsf_core.Det_dsf.weight,
           r.Dsf_core.Det_dsf.solution,
           Some r.Dsf_core.Det_dsf.ledger,
@@ -439,17 +438,18 @@ let jobs_arg =
     & info [ "jobs"; "j" ]
         ~doc:
           "domains for trial fan-out (repetitions of the randomized \
-           algorithm); default = recommended domain count, capped; results \
-           are identical for any value")
+           algorithm), and the number of flat-engine domains every \
+           simulated subroutine of the det algorithm runs on; default = \
+           recommended domain count, capped; results are identical for any \
+           value")
 
 let flat_arg =
   Arg.(
     value & flag
     & info [ "flat" ]
         ~doc:
-          "run the det algorithm's simulated subroutines on the flat-core \
-           engine (native ports + boxed adapter); results are bit-identical \
-           to the classic engines")
+          "accepted for compatibility and has no effect: every simulated \
+           subroutine already runs on the flat-core engine")
 
 let chaos_arg =
   Arg.(

@@ -43,7 +43,7 @@ type color_msg = Down of int
      +2  recolor:             the target class picks the least color of
                               {0,1,2} unused by parent (just heard) and
                               children (= own pre-shift color). *)
-let three_color g ~parent =
+let three_color ?(ctx = Sim.default_ctx) g ~parent =
   Array.iteri
     (fun v p ->
       if p >= 0 && Graph.find_edge g v p = None then
@@ -121,7 +121,9 @@ let three_color g ~parent =
       wake = None;
     }
   in
-  let states, stats = Sim.run g proto in
+  let states, stats =
+    Fault.sim_run ~ctx ~recovery:(Fault.immutable ()) g proto
+  in
   Array.map (fun st -> st.color) states, stats
 
 type match_state = {
@@ -136,8 +138,8 @@ type match_msg = Propose | Accept
 (* Color classes propose to their parents in turn; an unmatched parent
    accepts its smallest proposer.  Accept confirmations are processed
    before the next class proposes, so the matching stays consistent. *)
-let maximal_matching g ~parent =
-  let colors, color_stats = three_color g ~parent in
+let maximal_matching ?(ctx = Sim.default_ctx) g ~parent =
+  let colors, color_stats = three_color ~ctx g ~parent in
   let proto : (match_state, match_msg) Sim.protocol =
     {
       init =
@@ -193,7 +195,9 @@ let maximal_matching g ~parent =
       wake = None;
     }
   in
-  let states, stats = Sim.run g proto in
+  let states, stats =
+    Fault.sim_run ~ctx ~recovery:(Fault.immutable ()) g proto
+  in
   let edges = Array.to_list states |> List.concat_map (fun st -> st.accepted) in
   ( edges,
     {

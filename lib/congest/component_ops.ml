@@ -36,16 +36,7 @@ let gossip_extremum ?(ctx = Sim.default_ctx) g ~mask ~values ~better ~bits =
   in
   let states, stats =
     Telemetry.span_opt ctx.telemetry "gossip_extremum" (fun () ->
-        (* The documented narrowing: active engine, and only the
-           caller's observer and telemetry. *)
-        Sim.run
-          ~ctx:
-            {
-              Sim.default_ctx with
-              observer = ctx.observer;
-              telemetry = ctx.telemetry;
-            }
-          g proto)
+        Fault.sim_run ~ctx ~recovery:(Fault.immutable ()) g proto)
   in
   Array.map (fun st -> st.best) states, stats
 

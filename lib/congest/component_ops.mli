@@ -7,8 +7,8 @@
     values over the edges enabled by [mask]; a component of diameter d
     stabilizes in ~d rounds, all components in parallel.
 
-    The gossip always runs on the active engine and takes only [ctx]'s
-    observer and telemetry. *)
+    The gossip runs with the whole [ctx]; under chaos it runs hardened
+    with checkpointed recovery (see {!Fault.sim_run}). *)
 
 val gossip_extremum :
   ?ctx:Sim.ctx ->

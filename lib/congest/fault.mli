@@ -50,7 +50,9 @@
     the lossless sequence of inner states, and the final inner states —
     and any halt predicate evaluated on them — are bit-identical to the
     fault-free run.  The end-to-end chaos differential ([det_dsf] under a
-    seeded {!chaos_plan}, both engines, jobs 1 and 4) pins this.
+    seeded {!chaos_plan}, jobs 1 and 4) pins this, and the hardened
+    protocol-level differential checks the flat engine against the
+    reference loop under chaos.
 
     {b Scope of the guarantee.}  The inner protocol must (a) quiesce on a
     lossless network and (b) satisfy the sparse-wake no-op contract of

@@ -47,7 +47,7 @@ type 'k state = {
    at the item/Done wavefront — the classic protocol's [not sent_done]
    wake hook steps every unfinished node every round instead (O(n) per
    round on a path).  The message schedule is unchanged: the extra nodes
-   the classic engine steps are exactly the stalled/drained no-ops, so
+   the classic protocol steps are exactly the stalled/drained no-ops, so
    rounds, messages, bits, observer traces and the accepted list are
    bit-identical (differential suite enforced). *)
 type 'k fstate = {

@@ -19,7 +19,7 @@
       backtrace answers for the last {e mail-consuming} step at or before
       the queried round;
     - [Send {src; dst; bits; fate}] — one per send, in the global send
-      order all three engines share (sender ascending, outbox order
+      order both engines share (sender ascending, outbox order
       within a sender; the flat engine's barrier merge restores exactly
       this order for any [jobs]).  [fate] is the number of copies the
       fault layer delivered: 0 = dropped in flight, 1 = normal,

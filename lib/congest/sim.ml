@@ -57,7 +57,7 @@ let never _ ~round:_ _ = false
 
 type observer = src:int -> dst:int -> bits:int -> unit
 
-type engine = Active | Flat | Reference
+type engine = Flat | Reference
 
 type ctx = {
   engine : engine;
@@ -71,7 +71,7 @@ type ctx = {
 
 let default_ctx =
   {
-    engine = Active;
+    engine = Flat;
     jobs = 1;
     observer = None;
     faults = None;
@@ -122,29 +122,6 @@ let slot_of_msg nbr_slots ~n ~src ~dst =
   match Hashtbl.find nbr_slots.(src) dst with
   | slot -> slot
   | exception Not_found -> invalid_arg "Sim.run: message to non-neighbor"
-
-(* Growable arrival-order inbox buffer.  Replaces the seed's reversed
-   cons-lists: appends are amortized O(1) into a reused array, and the inbox
-   list handed to [step] is built back-to-front in one pass (no List.rev). *)
-type 'm inbox_buf = { mutable data : (int * 'm) array; mutable len : int }
-
-let buf_make () = { data = [||]; len = 0 }
-
-let buf_push b x =
-  let cap = Array.length b.data in
-  if b.len = cap then begin
-    let grown = Array.make (if cap = 0 then 4 else 2 * cap) x in
-    Array.blit b.data 0 grown 0 b.len;
-    b.data <- grown
-  end;
-  b.data.(b.len) <- x;
-  b.len <- b.len + 1
-
-let buf_drain b =
-  let rec go i acc = if i < 0 then acc else go (i - 1) (b.data.(i) :: acc) in
-  let l = go (b.len - 1) [] in
-  b.len <- 0;
-  l
 
 (* Growable int buffer, shared by the traffic ring below and the flat
    engine's per-domain logs (send log, touched CSR positions,
@@ -230,17 +207,17 @@ let tel_finish tel (s : stats) =
         ~budget_violations:s.budget_violations ~dropped:s.dropped
         ~duplicated:s.duplicated ~retransmissions:s.retransmissions
 
-(* The seed simulator's loop, kept verbatim as the semantic anchor for the
-   differential test suite (test_sim_equiv): every node is stepped every
-   round ([wake] is ignored), per-round accounting goes through a fresh
-   hashtable, quiescence re-scans the full state vector.  The only changes
-   from the seed are the slot-based recipient validation and the always-on
-   post-mortem traffic ring.  This loop never sees a [faults] record. *)
+(* The seed simulator's loop, kept as the semantic anchor for the
+   differential test suite (test_sim_equiv): every node that is up is
+   stepped every round ([wake] is ignored), per-round accounting goes
+   through a fresh hashtable, quiescence re-scans the full state vector.
+   The changes from the seed are the slot-based recipient validation, the
+   always-on post-mortem traffic ring, and the naive fault semantics: a
+   crash pre-pass before the steps of each round, and a per-send fate. *)
 let run_reference ?max_rounds ?halt ?(ctx = default_ctx) g proto =
   reject_chaos "Sim.run_reference" ctx;
-  if Option.is_some ctx.faults then
-    invalid_arg "Sim.run_reference: the reference engine takes no faults";
-  let obs = ctx.observer and telemetry = ctx.telemetry in
+  let obs = ctx.observer and faults = ctx.faults in
+  let telemetry = ctx.telemetry in
   let rcd = effective_recorder ctx in
   let rec_on = Option.is_some rcd in
   let rb = Recorder.buf_make () in
@@ -255,14 +232,19 @@ let run_reference ?max_rounds ?halt ?(ctx = default_ctx) g proto =
   let nbr_slots = neighbor_slots g views in
   let inboxes : (int * 'm) list array = Array.make n [] in
   let next_inboxes : (int * 'm) list array = Array.make n [] in
+  let down_now = Array.make n false in
+  let was_down = Array.make n false in
   let budget = Dsf_util.Bitsize.congest_budget ~n in
   let messages = ref 0 in
   let total_bits = ref 0 in
   let max_edge_round_bits = ref 0 in
   let budget_violations = ref 0 in
+  let dropped = ref 0 in
+  let duplicated = ref 0 in
   let round = ref 0 in
   let quiescent = ref false in
   let ring = ring_make () in
+  (match faults with Some f -> f.retransmissions := 0 | None -> ());
   let current_stats () =
     {
       rounds = !round;
@@ -270,9 +252,10 @@ let run_reference ?max_rounds ?halt ?(ctx = default_ctx) g proto =
       total_bits = !total_bits;
       max_edge_round_bits = !max_edge_round_bits;
       budget_violations = !budget_violations;
-      dropped = 0;
-      duplicated = 0;
-      retransmissions = 0;
+      dropped = !dropped;
+      duplicated = !duplicated;
+      retransmissions =
+        (match faults with Some f -> !(f.retransmissions) | None -> 0);
     }
   in
   while not !quiescent do
@@ -282,39 +265,87 @@ let run_reference ?max_rounds ?halt ?(ctx = default_ctx) g proto =
       abort_run ~round:!round ~snapshot ring
     end;
     ring_begin_round ring ~round:!round;
+    (* Crash pre-pass: a down node loses its mail and is not stepped; on
+       its first round back up it restarts from [init]. *)
+    (match faults with
+    | None -> ()
+    | Some f ->
+        for v = 0 to n - 1 do
+          let dn = f.down ~round:!round ~node:v in
+          down_now.(v) <- dn;
+          if dn then begin
+            if rec_on then Recorder.ev_down rb v;
+            dropped := !dropped + List.length inboxes.(v);
+            inboxes.(v) <- [];
+            was_down.(v) <- true
+          end
+          else if was_down.(v) then begin
+            if rec_on then Recorder.ev_restart rb v;
+            was_down.(v) <- false;
+            states.(v) <- proto.init views.(v)
+          end
+        done);
     (* bits sent this round per (sender, neighbor-slot); keyed by sender and
        destination since each unordered edge has two directions. *)
     let edge_bits = Hashtbl.create 64 in
     let sent_any = ref false in
     let bits0 = !total_bits in
+    let stepped = ref 0 in
     let delivered = ref 0 in
+    let deliver v dst msg =
+      next_inboxes.(dst) <- (v, msg) :: next_inboxes.(dst)
+    in
     for v = 0 to n - 1 do
-      let inbox = List.rev inboxes.(v) in
-      delivered := !delivered + List.length inbox;
-      inboxes.(v) <- [];
-      (* The seed loop steps every node; the recorder stamps only
-         mail-consuming steps, the event all engines share. *)
-      if rec_on && inbox <> [] then Recorder.ev_step rb v;
-      let state', outbox = proto.step views.(v) ~round:!round states.(v) ~inbox in
-      states.(v) <- state';
-      List.iter
-        (fun (dst, msg) ->
-          ignore (slot_of_msg nbr_slots ~n ~src:v ~dst);
-          sent_any := true;
-          incr messages;
-          let bits = proto.msg_bits msg in
-          total_bits := !total_bits + bits;
-          (match obs with
-          | Some f -> f ~src:v ~dst ~bits
-          | None -> ());
-          ring_push ring ~round:!round ~src:v ~dst ~bits;
-          if rec_on then Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
-          let key = (v * n) + dst in
-          let prev = Option.value ~default:0 (Hashtbl.find_opt edge_bits key) in
-          let now = prev + bits in
-          Hashtbl.replace edge_bits key now;
-          next_inboxes.(dst) <- (v, msg) :: next_inboxes.(dst))
-        outbox
+      if not down_now.(v) then begin
+        let inbox = List.rev inboxes.(v) in
+        incr stepped;
+        delivered := !delivered + List.length inbox;
+        inboxes.(v) <- [];
+        (* The seed loop steps every node; the recorder stamps only
+           mail-consuming steps, the event all engines share. *)
+        if rec_on && inbox <> [] then Recorder.ev_step rb v;
+        let state', outbox =
+          proto.step views.(v) ~round:!round states.(v) ~inbox
+        in
+        states.(v) <- state';
+        List.iter
+          (fun (dst, msg) ->
+            ignore (slot_of_msg nbr_slots ~n ~src:v ~dst);
+            sent_any := true;
+            incr messages;
+            let bits = proto.msg_bits msg in
+            total_bits := !total_bits + bits;
+            (match obs with
+            | Some f -> f ~src:v ~dst ~bits
+            | None -> ());
+            ring_push ring ~round:!round ~src:v ~dst ~bits;
+            let key = (v * n) + dst in
+            let prev =
+              Option.value ~default:0 (Hashtbl.find_opt edge_bits key)
+            in
+            let now = prev + bits in
+            Hashtbl.replace edge_bits key now;
+            (* The sender is charged above; the network decides the fate. *)
+            let fate =
+              match faults with
+              | None -> Deliver
+              | Some f -> f.on_send ~round:!round ~src:v ~dst
+            in
+            match fate with
+            | Deliver ->
+                if rec_on then Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
+                deliver v dst msg
+            | Drop ->
+                if rec_on then Recorder.ev_send rb ~src:v ~dst ~bits ~fate:0;
+                incr dropped
+            | Replicate k ->
+                if rec_on then Recorder.ev_send rb ~src:v ~dst ~bits ~fate:k;
+                for _ = 1 to k do
+                  deliver v dst msg
+                done;
+                duplicated := !duplicated + (k - 1))
+          outbox
+      end
     done;
     Hashtbl.iter
       (fun _ bits ->
@@ -330,11 +361,11 @@ let run_reference ?max_rounds ?halt ?(ctx = default_ctx) g proto =
         Recorder.round r !round;
         Recorder.flush r rb
     | None -> ());
-    (* The one telemetry branch per round; the seed loop steps every node,
-       so the active set is all of [n] and wake hooks never fire. *)
+    (* The one telemetry branch per round; the seed loop steps every node
+       that is up, and wake hooks never fire. *)
     (match telemetry with
     | Some t ->
-        Telemetry.sim_round t ~stepped:n ~delivered:!delivered
+        Telemetry.sim_round t ~stepped:!stepped ~delivered:!delivered
           ~bits:(!total_bits - bits0) ~wake_hits:0
     | None -> ());
     incr round;
@@ -389,8 +420,8 @@ let inbox_msg b i =
 
 let mbuf_make () = { srcs = [||]; msgs = [||]; mlen = 0 }
 
-(* The pushed message seeds the first allocation of [msgs], the same trick
-   [inbox_buf] uses: no dummy 'm value is ever needed. *)
+(* The pushed message seeds the first allocation of [msgs]: no dummy 'm
+   value is ever needed. *)
 let mbuf_push b src msg =
   let cap = Array.length b.srcs in
   if b.mlen = cap then begin
@@ -693,9 +724,9 @@ let run_flat ?max_rounds ?halt ?(ctx = default_ctx) ?sanitize g fp =
      — the active set is exactly (mail recipients U stepped-and-not-done),
      maintained incrementally, so idle rounds cost O(active) not O(n).
      [sweep_all]: wake is [None] — every node steps every round, no list
-     needed.  Otherwise a full-range criterion sweep per round, matching
-     the active engine (a crash-restart or an arbitrary wake hook can
-     activate any idle node). *)
+     needed.  Otherwise a full-range criterion sweep per round (a
+     crash-restart or an arbitrary wake hook can activate any idle
+     node). *)
   let sparse =
     (not has_faults)
     && (match fp.fp_wake with Some f -> f == never | None -> false)
@@ -1050,238 +1081,13 @@ let run_flat ?max_rounds ?halt ?(ctx = default_ctx) ?sanitize g fp =
   tel_finish telemetry final;
   states, final
 
-(* Active-set engine.  Per-round work is proportional to the number of
-   *active* nodes and the messages they send, plus an O(n) sweep of three
-   boolean tests per idle node, instead of the seed's full [step] of every
-   node plus a fresh hashtable and two O(n) state re-scans:
-
-   - a node is stepped only if it has mail, is not done, or its protocol's
-     [wake] hook asks for it (no hook = step every round, the seed behavior);
-   - per-(edge,direction) round bits live in a flat array indexed by
-     precomputed directed-edge slots; only the touched slots are swept for
-     the max/budget accounting and reset afterwards;
-   - [is_done] is evaluated once per state change and folded into a running
-     [done_count], replacing the per-round [Array.for_all] scan;
-   - inboxes are growable arrival-order buffers, so no List.rev per step and
-     no cons-cell churn for the double-buffered delivery arrays.
-
-   Stats, observer calls (order included), exceptions, and final states are
-   bit-for-bit those of [run_reference]; test_sim_equiv enforces this.
-
-   Fault injection ([ctx.faults]) lives here and in [run_flat]: with no
-   faults record the per-message fast path is exactly the fault-free
-   engine.  Semantics (see the .mli): the sender is always charged for a
-   send (messages, bits, observer, edge budget); [Drop] destroys the
-   message in flight, [Replicate k] delivers [k] copies; a [down] node is
-   not stepped and mail arriving at it is destroyed (counted as dropped);
-   on the first round a node is back up, its state is reset to [init]. *)
+(* [Sim.run] dispatch: a classic protocol runs on the flat engine through
+   the boxed adapter, or on the reference loop. *)
 let run ?max_rounds ?halt ?(ctx = default_ctx) g proto =
   reject_chaos "Sim.run" ctx;
   match ctx.engine with
   | Reference -> run_reference ?max_rounds ?halt ~ctx g proto
   | Flat -> run_flat ?max_rounds ?halt ~ctx g (flat_of_protocol proto)
-  | Active ->
-    let obs = ctx.observer and faults = ctx.faults in
-    let telemetry = ctx.telemetry in
-    let rcd = effective_recorder ctx in
-    let rec_on = Option.is_some rcd in
-    let rb = Recorder.buf_make () in
-    let n = Graph.n g in
-    let m = Graph.m g in
-    let max_rounds =
-      match max_rounds with Some r -> r | None -> 10_000 + (200 * n)
-    in
-    let views =
-      Array.init n (fun node -> { node; n; nbrs = Graph.adj g node })
-    in
-    let states = Array.map proto.init views in
-    let nbr_slots = neighbor_slots g views in
-    let budget = Dsf_util.Bitsize.congest_budget ~n in
-    (* -1 marks an untouched slot, so zero-bit messages still register their
-       slot exactly once per round (matching the hashtable's entry count). *)
-    let edge_bits = Array.make (2 * m) (-1) in
-    let touched = Array.make (2 * m) 0 in
-    let n_touched = ref 0 in
-    let cur = ref (Array.init n (fun _ -> buf_make ())) in
-    let nxt = ref (Array.init n (fun _ -> buf_make ())) in
-    let done_flag = Array.map proto.is_done states in
-    let done_count = ref 0 in
-    Array.iter (fun d -> if d then incr done_count) done_flag;
-    let messages = ref 0 in
-    let total_bits = ref 0 in
-    let max_edge_round_bits = ref 0 in
-    let budget_violations = ref 0 in
-    let dropped = ref 0 in
-    let duplicated = ref 0 in
-    let round = ref 0 in
-    let quiescent = ref false in
-    let ring = ring_make () in
-    (match faults with Some f -> f.retransmissions := 0 | None -> ());
-    let current_stats () =
-      {
-        rounds = !round;
-        messages = !messages;
-        total_bits = !total_bits;
-        max_edge_round_bits = !max_edge_round_bits;
-        budget_violations = !budget_violations;
-        dropped = !dropped;
-        duplicated = !duplicated;
-        retransmissions =
-          (match faults with Some f -> !(f.retransmissions) | None -> 0);
-      }
-    in
-    (* Crash bookkeeping, allocated only when a faults record is present. *)
-    let down_now = match faults with Some _ -> Array.make n false | None -> [||] in
-    let was_down = match faults with Some _ -> Array.make n false | None -> [||] in
-    let wake_is_some = Option.is_some proto.wake in
-    while not !quiescent do
-      if !round >= max_rounds then begin
-        let snapshot = current_stats () in
-        tel_finish telemetry snapshot;
-        abort_run ~round:!round ~snapshot ring
-      end;
-      ring_begin_round ring ~round:!round;
-      let inboxes = !cur and outboxes = !nxt in
-      let sent_any = ref false in
-      (* Round-level series for the telemetry hook.  Maintained as plain
-         branch-free adds so that without telemetry the engine pays
-         exactly one extra branch per round (the [match] below). *)
-      let bits0 = !total_bits in
-      let stepped = ref 0 in
-      let delivered = ref 0 in
-      let wake_hits = ref 0 in
-      (match faults with
-      | None -> ()
-      | Some f ->
-          for v = 0 to n - 1 do
-            let d = f.down ~round:!round ~node:v in
-            down_now.(v) <- d;
-            if d then begin
-              (* Mail delivered to a crashed node is lost. *)
-              if rec_on then Recorder.ev_down rb v;
-              if inboxes.(v).len > 0 then begin
-                dropped := !dropped + inboxes.(v).len;
-                inboxes.(v).len <- 0
-              end;
-              was_down.(v) <- true
-            end
-            else if was_down.(v) then begin
-              (* First round back up: restart from a fresh initial state. *)
-              if rec_on then Recorder.ev_restart rb v;
-              was_down.(v) <- false;
-              states.(v) <- proto.init views.(v);
-              let d' = proto.is_done states.(v) in
-              if d' <> done_flag.(v) then begin
-                done_flag.(v) <- d';
-                done_count := !done_count + (if d' then 1 else -1)
-              end
-            end
-          done);
-      for v = 0 to n - 1 do
-        let crashed = match faults with Some _ -> down_now.(v) | None -> false in
-        let has_mail = inboxes.(v).len > 0 in
-        let active =
-          (not crashed)
-          && (has_mail
-             || (not done_flag.(v))
-             ||
-             match proto.wake with
-             | None -> true
-             | Some f -> f views.(v) ~round:!round states.(v))
-        in
-        if active then begin
-          (* An active node that had no mail and reported done can only have
-             been stepped because its wake hook fired. *)
-          if wake_is_some && (not has_mail) && done_flag.(v) then
-            incr wake_hits;
-          incr stepped;
-          delivered := !delivered + inboxes.(v).len;
-          (* Mail-consuming steps only — see [run_flat]'s [step_node]. *)
-          if rec_on && has_mail then Recorder.ev_step rb v;
-          let inbox = buf_drain inboxes.(v) in
-          let state', outbox =
-            proto.step views.(v) ~round:!round states.(v) ~inbox
-          in
-          states.(v) <- state';
-          let d = proto.is_done state' in
-          if d <> done_flag.(v) then begin
-            done_flag.(v) <- d;
-            done_count := !done_count + (if d then 1 else -1)
-          end;
-          List.iter
-            (fun (dst, msg) ->
-              let slot = slot_of_msg nbr_slots ~n ~src:v ~dst in
-              sent_any := true;
-              incr messages;
-              let bits = proto.msg_bits msg in
-              total_bits := !total_bits + bits;
-              (match obs with
-              | Some f -> f ~src:v ~dst ~bits
-              | None -> ());
-              ring_push ring ~round:!round ~src:v ~dst ~bits;
-              let prev = edge_bits.(slot) in
-              if prev < 0 then begin
-                touched.(!n_touched) <- slot;
-                incr n_touched;
-                edge_bits.(slot) <- bits
-              end
-              else edge_bits.(slot) <- prev + bits;
-              match faults with
-              | None ->
-                  if rec_on then
-                    Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
-                  buf_push outboxes.(dst) (v, msg)
-              | Some f -> (
-                  match f.on_send ~round:!round ~src:v ~dst with
-                  | Deliver ->
-                      if rec_on then
-                        Recorder.ev_send rb ~src:v ~dst ~bits ~fate:1;
-                      buf_push outboxes.(dst) (v, msg)
-                  | Drop ->
-                      if rec_on then
-                        Recorder.ev_send rb ~src:v ~dst ~bits ~fate:0;
-                      incr dropped
-                  | Replicate k ->
-                      if rec_on then
-                        Recorder.ev_send rb ~src:v ~dst ~bits ~fate:k;
-                      for _ = 1 to k do
-                        buf_push outboxes.(dst) (v, msg)
-                      done;
-                      duplicated := !duplicated + (k - 1)))
-            outbox
-        end
-      done;
-      for i = 0 to !n_touched - 1 do
-        let slot = touched.(i) in
-        let bits = edge_bits.(slot) in
-        if bits > !max_edge_round_bits then max_edge_round_bits := bits;
-        if bits > budget then incr budget_violations;
-        edge_bits.(slot) <- -1
-      done;
-      n_touched := 0;
-      (* Every non-empty inbox made its node active (or was emptied by the
-         crash pre-pass), and stepping drains the inbox, so [inboxes] is
-         all-empty here: swapping the double buffers hands next round its
-         deliveries and this round's arrays for reuse. *)
-      cur := outboxes;
-      nxt := inboxes;
-      (match rcd with
-      | Some r ->
-          Recorder.round r !round;
-          Recorder.flush r rb
-      | None -> ());
-      (match telemetry with
-      | Some t ->
-          Telemetry.sim_round t ~stepped:!stepped ~delivered:!delivered
-            ~bits:(!total_bits - bits0) ~wake_hits:!wake_hits
-      | None -> ());
-      incr round;
-      let halted = match halt with Some f -> f states | None -> false in
-      quiescent := halted || ((!done_count = n) && not !sent_any)
-    done;
-    let final = current_stats () in
-    tel_finish telemetry final;
-    states, final
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -13,20 +13,21 @@
     messages to the same neighbor in one round is allowed but both count
     against that edge-round's bit total.
 
-    {2 The active-set scheduler}
+    {2 Scheduling}
 
     The paper's protocols are round-efficient precisely because most nodes
     are silent in most rounds (Bellman-Ford wavefronts, pipelined upcasts),
-    so {!run} only steps the nodes that can act: in round [r] a node is
-    stepped iff its inbox is non-empty, it does not report [is_done], or its
-    [wake] hook returns [true].  A protocol with [wake = None] is stepped
-    every round — exactly the original simulator's schedule.  A protocol
-    that declares a sparse [wake] (e.g. [Some never]) promises that stepping
-    a done node with an empty inbox is a no-op: it returns a structurally
-    equal state and an empty outbox.  Under that contract, {!run} and
+    so the production engine ({!run_flat}, which {!run} uses) only steps
+    the nodes that can act: in round [r] a node is stepped iff its inbox is
+    non-empty, it does not report [is_done], or its [wake] hook returns
+    [true].  A protocol with [wake = None] is stepped every round — exactly
+    the original simulator's schedule.  A protocol that declares a sparse
+    [wake] (e.g. [Some never]) promises that stepping a done node with an
+    empty inbox is a no-op: it returns a structurally equal state and an
+    empty outbox.  Under that contract, the flat engine and
     {!run_reference} produce identical stats, observer traces, and final
-    states — the property suite [test_sim_equiv] checks this differentially
-    on randomized graphs and protocols.
+    states, with and without faults — the property suite [test_sim_equiv]
+    checks this differentially on randomized graphs and protocols.
 
     [is_done] and [wake] must be pure functions of the state (and view /
     round): [is_done] is re-evaluated only when a step changes the state.
@@ -110,8 +111,10 @@ type stats = {
       hardened runners account resends per node and patch the returned
       stats instead.
 
-    The active and flat engines inject faults; the reference engine
-    rejects a context that carries them ([Invalid_argument]). *)
+    Both engines inject faults: the flat engine, and the reference loop,
+    which applies the same semantics naively (a crash pre-pass over every
+    node, then a fate per send) so it stays the oracle of the faulted
+    differentials. *)
 
 type fault_action = Deliver | Drop | Replicate of int
 
@@ -194,17 +197,17 @@ type observer = src:int -> dst:int -> bits:int -> unit
     context. *)
 
 type engine =
-  | Active  (** the active-set scheduler of {!run} *)
   | Flat
-      (** the flat-core engine: {!run} goes through {!flat_of_protocol};
-          primitives with a native {!flat_protocol} port run that port *)
-  | Reference  (** the seed loop, {!run_reference}; rejects faults *)
+      (** the flat-core engine, the production engine: {!run} goes through
+          {!flat_of_protocol}; primitives with a native {!flat_protocol}
+          port run that port *)
+  | Reference  (** the seed loop, {!run_reference}: the test oracle *)
 
 type ctx = {
   engine : engine;
   jobs : int;
       (** domains a flat run is partitioned over (see {!run_flat});
-          ignored by the other engines *)
+          ignored by the reference loop *)
   observer : observer option;  (** taps every message of the run *)
   faults : faults option;  (** fault injection, see above *)
   telemetry : Telemetry.t option;
@@ -220,7 +223,7 @@ type ctx = {
 }
 
 val default_ctx : ctx
-(** [Active], one job, nothing attached.  Build others by record update:
+(** [Flat], one job, nothing attached.  Build others by record update:
     [{ Sim.default_ctx with engine = Flat; jobs = 4 }]. *)
 
 val native_flat : ctx -> bool
@@ -231,14 +234,14 @@ val native_flat : ctx -> bool
 
 (** {2 The flat-core engine}
 
-    A third engine built on the {!Dsf_graph.Graph.csr} view: message
+    The production engine, built on the {!Dsf_graph.Graph.csr} view: message
     traffic lives in preallocated {e arena} buffers (parallel
     [int array] / ['m array] pairs grown once and recycled by length
     reset), per-round per-(edge, direction) bit accounting is a flat
     array indexed by CSR position, and a protocol whose [wake] is
     physically {!never} is scheduled from an incrementally-maintained
     sorted active list, so an idle round costs O(active nodes) instead of
-    the active engine's O(n) criterion sweep.  For ['m = int] protocols
+    an O(n) criterion sweep.  For ['m = int] protocols
     written against the native {!flat_protocol} interface the
     steady-state round loop allocates nothing.
 
@@ -248,7 +251,7 @@ val native_flat : ctx -> bool
     its sends per destination; the coordinator merges staged mail, send
     logs (observer calls, post-mortem ring), counters, and bit accounting
     {e in domain = node order} at the barrier.  Because the merge order
-    equals the global send order of the single-threaded engines, results
+    equals the global send order of a single-threaded run, results
     are bit-identical for any [jobs] — the jobs-invariance property in
     [test_sim_equiv] pins this.  Caveat: [jobs > 1] must not be used
     from inside an existing pool fan-out (the per-round batch would raise
@@ -258,14 +261,14 @@ val native_flat : ctx -> bool
     too.
 
     On an error raised by a step (e.g. a message to a non-neighbor) the
-    flat engine propagates the same exception as the active engine, but
+    flat engine propagates the same exception as the reference loop, but
     observer calls of the failing round are not made (they are replayed
     at the barrier, which the error never reaches) — engines diverge only
     on that error path. *)
 
 type 'm inbox
 (** The mail delivered to a node this round, in arrival order (identical
-    to the list the active engine would hand [step]).  A read-only view
+    to the list the reference loop would hand [step]).  A read-only view
     into a recycled arena buffer: valid only during the [fp_step] call it
     was passed to. *)
 
@@ -277,7 +280,7 @@ val inbox_msg : 'm inbox -> int -> 'm
 (** Payload of the [i]-th message; raises [Invalid_argument] out of range. *)
 
 val inbox_list : 'm inbox -> (int * 'm) list
-(** The inbox as the active engine's [(sender, message)] list (allocates;
+(** The inbox as the classic [(sender, message)] list (allocates;
     the convenience bridge for incremental ports). *)
 
 type ('s, 'm) flat_protocol = {
@@ -337,10 +340,10 @@ val run_flat :
     [1 .. min n Dsf_util.Pool.hard_cap]: the staging area is
     [jobs × n] buffers, so an unbounded [jobs] would cost memory and
     buy no parallelism.  Stats, final states, observer traces, round
-    counts, telemetry series, fault semantics, and {!Round_limit}
-    behavior are bit-identical to {!run} on the equivalent list protocol
-    — the differential suite enforces this with faults and telemetry
-    both on and off.
+    counts, fault semantics, recorder logs and {!Round_limit} behavior
+    are bit-identical to {!run_reference} on the equivalent list
+    protocol — the differential suite enforces this with faults and
+    telemetry both on and off.
 
     [sanitize] arms the dynamic ownership sanitizer: node-state writes
     and arena slots are tagged with the owning domain and round, and any
@@ -359,8 +362,8 @@ val run_flat :
     [Down]/[Restart] for crash windows.  Events are staged in per-domain
     buffers and flushed at the barrier in domain = node order — crash
     events of the round first, then step/send events — so the serialized
-    log is byte-identical for any [jobs] and identical to the classic
-    engines' log for the same protocol.  With no recorder (in the
+    log is byte-identical for any [jobs] and identical to the reference
+    loop's log for the same protocol.  With no recorder (in the
     context or on its telemetry) the engine pays one predictable branch
     per action and allocates nothing (the bench GC gate pins the off
     path).  Events of a round that raises (protocol error, sanitizer
@@ -374,8 +377,9 @@ val run :
   Dsf_graph.Graph.t ->
   ('s, 'm) protocol ->
   's array * stats
-(** Runs the protocol to quiescence on [ctx.engine] (default
-    {!default_ctx}: the active-set engine).  Default [max_rounds] is
+(** Runs the protocol to quiescence on [ctx.engine]: the flat engine
+    through {!flat_of_protocol} (the default, {!default_ctx}), or
+    {!run_reference}.  Default [max_rounds] is
     [10_000 + 200 * n]; raises {!Round_limit} if exceeded (a protocol
     bug — the abort carries a post-mortem, see {!abort}).  Messages
     produced in round [r] are delivered in round [r + 1].
@@ -398,9 +402,9 @@ val run :
     delivered, bits this round, wake-hook hits — into its metrics
     registry via [Telemetry.sim_round].  Purely observational: without it
     the engine pays a single extra branch per round and runs
-    bit-identically (the differential suite checks this).  All three
-    engines produce byte-identical recorder logs on the same protocol
-    (see {!run_flat}). *)
+    bit-identically (the differential suite checks this).  Both engines
+    produce byte-identical recorder logs on the same protocol (see
+    {!run_flat}). *)
 
 val run_reference :
   ?max_rounds:int ->
@@ -410,11 +414,15 @@ val run_reference :
   ('s, 'm) protocol ->
   's array * stats
 (** The original (seed) simulator loop, kept as the semantic anchor: steps
-    every node every round and ignores [wake] and [ctx.engine].
-    Differential tests assert {!run} matches it exactly; it is also the
-    baseline leg of the [bench/main.exe -- micro] simulator benchmarks.
-    Not for production use — it pays O(n + m) per round regardless of
-    activity.  Raises [Invalid_argument] on a context carrying faults or
-    chaos. *)
+    every node that is up every round and ignores [wake], [ctx.engine]
+    and [ctx.jobs].  [ctx.faults] gets the fault semantics above, applied
+    naively: each round first runs a crash pre-pass over every node
+    (a down node's inbox is dropped and counted, a node back up restarts
+    from [init], the recorder gets [Down]/[Restart]), then every send
+    gets its [on_send] fate.  Differential tests assert the flat engine
+    matches it exactly, faults included; it is also the baseline leg of
+    the [bench/main.exe -- micro] simulator benchmarks.  Not for
+    production use — it pays O(n + m) per round regardless of activity.
+    Raises [Invalid_argument] on a context carrying chaos. *)
 
 val pp_stats : Format.formatter -> stats -> unit

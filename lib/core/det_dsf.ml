@@ -95,11 +95,10 @@ let g_copy gs =
     rad = Array.copy gs.rad;
   }
 
-let run ?observer ?telemetry ?flat ?(jobs = 1) ?chaos inst0 =
+let run ?observer ?telemetry ?flat:_ ?(jobs = 1) ?chaos inst0 =
   let ctx =
     {
       Sim.default_ctx with
-      engine = (if flat = Some true then Sim.Flat else Sim.Active);
       jobs;
       observer;
       telemetry;

@@ -55,18 +55,19 @@ val run :
     [final], with the simulated primitives nested beneath) and attaches
     the ledger so every charged entry lands in its enclosing span.
 
-    [~flat:true] runs every simulated subroutine on the flat-core engine —
-    native ports where they exist (BFS, Bellman-Ford decomposition,
-    boundary exchange, filtered upcast, tree ops, token flood), the boxed
-    adapter elsewhere — with [?jobs] domains (default 1); the result,
-    ledger, stats, and observer traces are bit-identical to the classic
-    engines.  Otherwise every subroutine runs on the active engine.
+    Every simulated subroutine runs on the flat-core engine — native
+    ports where they exist (BFS, Bellman-Ford decomposition, boundary
+    exchange, filtered upcast, tree ops, token flood), the boxed adapter
+    elsewhere — with [jobs] domains (default 1); the result, ledger,
+    stats, and observer traces are bit-identical for any [jobs] and to
+    the reference loop.  [flat] is accepted for compatibility and has no
+    effect.
 
     [chaos] runs every simulated subroutine hardened with checkpointed
     crash recovery under the given chaos plan (see
     {!Dsf_congest.Fault.sim_run}): the solution, weight, dual, merge
-    schedule, and phase count are bit-identical to the fault-free run on
-    any engine — only the ledger's round counts (and the recovery
+    schedule, and phase count are bit-identical to the fault-free run at
+    any [jobs] — only the ledger's round counts (and the recovery
     telemetry) reflect the injected faults.  Native flat ports are
-    bypassed under chaos; with [~flat:true] the hardened classic
-    protocols still run on the flat engine through its boxed adapter. *)
+    bypassed under chaos: the hardened classic protocols run on the flat
+    engine through its boxed adapter. *)

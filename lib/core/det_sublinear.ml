@@ -639,7 +639,7 @@ let run ?observer ?telemetry ~eps_num ~eps_den inst0 =
       (* The merge-level F_min above is not quite edge-minimal (merge paths
          can overlap at Steiner nodes); the fast pruning routine of
          Appendix F.3 finishes the job distributively. *)
-      let pr = Pruning.run inst ~f:solution ~sigma in
+      let pr = Pruning.run ~ctx inst ~f:solution ~sigma in
       Ledger.merge_into ~dst:ledger pr.Pruning.ledger;
       pr.Pruning.pruned
     in

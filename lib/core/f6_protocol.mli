@@ -15,10 +15,13 @@
     phases finish in O(depth + #classes) simulated rounds. *)
 
 val run :
+  ?ctx:Dsf_congest.Sim.ctx ->
   Dsf_graph.Graph.t ->
   parent:int array ->
   labels:(int -> int list) ->
   bool array * Dsf_congest.Sim.stats
 (** Returns the kept-edge bit set (indexed by edge id; only tree edges can
     be set) and the combined statistics of the two phases.  Every
-    [(v, parent.(v))] pair must be an edge of the graph. *)
+    [(v, parent.(v))] pair must be an edge of the graph.  Both phases run
+    with [ctx] minus its faults and chaos (their states hold mutable
+    tables, which a hardened run could not checkpoint). *)

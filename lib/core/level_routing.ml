@@ -74,7 +74,9 @@ let route_phase ?(ctx = Sim.default_ctx) g vt ~origins =
       wake = None;
     }
   in
-  Sim.run ~ctx:{ Sim.default_ctx with observer = ctx.observer } g proto
+  (* The [known] tables are mutated in place, so there is no checkpoint
+     to harden with: the phase runs fault-free. *)
+  Sim.run ~ctx:{ ctx with faults = None; chaos = None } g proto
 
 (* ----------------------------------------------------------------------- *)
 (* Step 3d: targets send their collected labels back along the recorded     *)
@@ -121,6 +123,7 @@ let backtrace_phase ?(ctx = Sim.default_ctx) g ~tables ~bundles =
       wake = None;
     }
   in
-  Sim.run ~ctx:{ Sim.default_ctx with observer = ctx.observer } g proto
+  (* Shares the route phase's mutable tables: fault-free, like it. *)
+  Sim.run ~ctx:{ ctx with faults = None; chaos = None } g proto
 
 (* ----------------------------------------------------------------------- *)

@@ -7,8 +7,9 @@
     that caps per-target work at O(s + k)), and every traversed edge is
     selected.  {!backtrace_phase}: targets ship their collected label
     bundles back along the recorded reverse chain to one originating
-    holder.  Both phases run on the active engine, with only [ctx]'s
-    observer. *)
+    holder.  Both phases run with [ctx] minus its faults and chaos: their
+    states hold mutable tables, which a hardened run could not
+    checkpoint. *)
 
 type route_state = {
   known : (int * int, int) Hashtbl.t;

@@ -31,5 +31,11 @@ type result = {
 }
 
 val run :
-  Dsf_graph.Instance.ic -> f:bool array -> sigma:int -> result
-(** [f] must be a feasible forest for the instance. *)
+  ?ctx:Dsf_congest.Sim.ctx ->
+  Dsf_graph.Instance.ic ->
+  f:bool array ->
+  sigma:int ->
+  result
+(** [f] must be a feasible forest for the instance.  Every simulated step
+    runs with [ctx]; the label flood and the Lemma F.6 selection, whose
+    states hold mutable tables, run without its faults and chaos. *)

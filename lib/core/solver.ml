@@ -56,7 +56,7 @@ let khan_hook :
          depend on dsf_baseline or avoid Khan_baseline")
 [@@lint.allow "global-state"]
 
-let solve_ic ?(jobs = 1) ?observer ?telemetry ?flat ?chaos algo inst =
+let solve_ic ?(jobs = 1) ?observer ?telemetry ?chaos algo inst =
   let tspan name f = Dsf_congest.Telemetry.span_opt telemetry name f in
   (match chaos, algo with
   | Some _, (Det_sublinear _ | Rand _ | Khan_baseline _ | Centralized_moat) ->
@@ -64,7 +64,7 @@ let solve_ic ?(jobs = 1) ?observer ?telemetry ?flat ?chaos algo inst =
   | _ -> ());
   match algo with
   | Det ->
-      let r = Det_dsf.run ?observer ?telemetry ?flat ?chaos ~jobs inst in
+      let r = Det_dsf.run ?observer ?telemetry ?chaos ~jobs inst in
       of_ledger algo inst r.Det_dsf.solution r.Det_dsf.weight
         (Some (Frac.to_float r.Det_dsf.dual))
         (Some r.Det_dsf.ledger)
@@ -91,12 +91,11 @@ let solve_ic ?(jobs = 1) ?observer ?telemetry ?flat ?chaos algo inst =
         (Some (Frac.to_float r.Moat.dual))
         None
 
-let solve_cr ?jobs ?observer ?telemetry ?flat ?chaos algo cr =
+let solve_cr ?jobs ?observer ?telemetry ?chaos algo cr =
   (* The same context [Det_dsf.run] builds from these arguments. *)
   let ctx =
     {
       Dsf_congest.Sim.default_ctx with
-      engine = (if flat = Some true then Flat else Active);
       jobs = Option.value jobs ~default:1;
       observer;
       telemetry;
@@ -105,7 +104,7 @@ let solve_cr ?jobs ?observer ?telemetry ?flat ?chaos algo cr =
   in
   let out = Transform.cr_to_ic ~ctx cr in
   let report =
-    solve_ic ?jobs ?observer ?telemetry ?flat ?chaos algo out.Transform.value
+    solve_ic ?jobs ?observer ?telemetry ?chaos algo out.Transform.value
   in
   let ledger =
     match report.ledger with
@@ -123,7 +122,7 @@ let solve_cr ?jobs ?observer ?telemetry ?flat ?chaos algo cr =
     ledger;
   }
 
-let compare_all ?jobs ?observer ?telemetry ?flat ?algorithms inst =
+let compare_all ?jobs ?observer ?telemetry ?algorithms inst =
   let algorithms =
     match algorithms with
     | Some l -> l
@@ -135,5 +134,5 @@ let compare_all ?jobs ?observer ?telemetry ?flat ?algorithms inst =
           Khan_baseline { repetitions = 3; seed = 1 };
         ]
   in
-  List.map (fun a -> solve_ic ?jobs ?observer ?telemetry ?flat a inst) algorithms
+  List.map (fun a -> solve_ic ?jobs ?observer ?telemetry a inst) algorithms
   |> List.sort (fun a b -> compare a.weight b.weight)

@@ -137,7 +137,9 @@ let build ?(ctx = Sim.default_ctx) rng g =
     }
   in
   let states, stats =
-    Sim.run ~ctx:{ Sim.default_ctx with observer = ctx.observer } g proto
+    (* The outboxes are mutable tables, so there is no checkpoint to
+       harden with: the construction runs fault-free. *)
+    Sim.run ~ctx:{ ctx with faults = None; chaos = None } g proto
   in
   {
     ranks;

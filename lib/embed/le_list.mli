@@ -33,8 +33,9 @@ type t = {
 }
 
 val build : ?ctx:Dsf_congest.Sim.ctx -> Dsf_util.Rng.t -> Dsf_graph.Graph.t -> t
-(** Draws ranks from the given RNG and runs the simulated construction on
-    the active engine, with only [ctx]'s observer. *)
+(** Draws ranks from the given RNG and runs the simulated construction
+    with [ctx] minus its faults and chaos (its states hold mutable
+    tables, which a hardened run could not checkpoint). *)
 
 val highest_within : t -> int -> int -> entry option
 (** [highest_within t v r]: the highest-ranked node within weighted distance

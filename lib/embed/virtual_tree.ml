@@ -38,9 +38,7 @@ let build ?(ctx = Dsf_congest.Sim.default_ctx) rng ?truncate_at g =
         in
         let s = List.filteri (fun i _ -> i < size) by_rank in
         let res, stats =
-          Dsf_congest.Bellman_ford.run
-            ~ctx:{ Dsf_congest.Sim.default_ctx with observer = ctx.observer }
-            g
+          Dsf_congest.Bellman_ford.run ~ctx g
             ~sources:(List.map (fun v -> v, 0) s)
         in
         rounds := !rounds + stats.Dsf_congest.Sim.rounds;

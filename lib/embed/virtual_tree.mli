@@ -42,7 +42,8 @@ val build :
 (** [build rng ?truncate_at g] returns the tree and the number of simulated
     rounds spent (LE lists; plus the closest-S Voronoi when truncating).
     [truncate_at] is |S| (e.g. sqrt n); omit it for the full tree.  Both
-    simulations run on the active engine, with only [ctx]'s observer. *)
+    simulations run with [ctx] (the LE lists without its faults and
+    chaos, see {!Le_list.build}). *)
 
 val route_next_hop : t -> int -> int -> int option
 (** [route_next_hop t v target]: next hop from [v] on the recorded

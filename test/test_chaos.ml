@@ -5,10 +5,11 @@
    crash-and-restart: a restarted node resumes from its checkpoint, so a
    crash window degrades into a finite outage the reliable layer rides
    out.  Also pins down what the RAW protocols do (and do not) guarantee
-   under crash-and-restart plans, that an end-to-end det_dsf solve under a
-   full chaos plan is bit-identical to the fault-free run (both engines,
-   jobs 1 and 4), and that round-limit aborts carry a usable
-   post-mortem. *)
+   under crash-and-restart plans, that a hardened run under a chaos plan
+   is identical on the reference loop and the flat engine, that an
+   end-to-end det_dsf solve under a full chaos plan is bit-identical to
+   the fault-free run (jobs 1 and 4), and that round-limit aborts carry a
+   usable post-mortem. *)
 
 open Dsf_graph
 open Dsf_congest
@@ -251,6 +252,43 @@ let test_exchange_chaos_still_stabilizes () =
   in
   Alcotest.(check bool) "positive traffic" true (stats.Sim.messages > 0)
 
+(* A hardened run under a full chaos plan, through the chaos front door:
+   the reference loop is the oracle of the flat engine here too — inner
+   states, stats (retransmissions included), observer order and
+   flightlog bytes, at jobs 1 and 4. *)
+let prop_hardened_reference_flat =
+  QCheck.Test.make ~name:"hardened chaos run: reference = flat j1/j4"
+    ~count:10
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g = random_graph seed in
+      let root = seed mod Graph.n g in
+      let chaos = Some (Fault.chaos (Fault.chaos_plan ~seed g)) in
+      let leg proto engine jobs =
+        let log = ref [] in
+        let observer ~src ~dst ~bits = log := (src, dst, bits) :: !log in
+        let r = Recorder.create ~now:0 () in
+        let ctx =
+          {
+            Sim.default_ctx with
+            engine;
+            jobs;
+            observer = Some observer;
+            recorder = Some r;
+            chaos;
+          }
+        in
+        let states, stats =
+          Fault.sim_run ~ctx ~recovery:(Fault.immutable ()) g proto
+        in
+        states, stats, List.rev !log, Recorder.to_string r
+      in
+      let same proto =
+        let base = leg proto Sim.Reference 1 in
+        base = leg proto Sim.Flat 1 && base = leg proto Sim.Flat 4
+      in
+      same (Bfs.protocol ~root) && same (Leader.protocol g))
+
 (* ------------------------------------------- end-to-end det_dsf chaos *)
 
 let test_det_dsf_chaos_differential () =
@@ -258,7 +296,7 @@ let test_det_dsf_chaos_differential () =
      maskable chaos plan (drops + duplicates + finite link-down +
      crash-restart-with-recovery) is bit-identical to the fault-free
      solve — solution, weight, dual, merge schedule, phase count — on the
-     classic engine and on the flat engine at jobs 1 and 4.  Ledger round
+     flat engine at jobs 1 and 4.  Ledger round
      counts legitimately differ (the synchronizer pays for the faults), so
      they are excluded from the comparison. *)
   let r = rng 2024 in
@@ -268,8 +306,8 @@ let test_det_dsf_chaos_differential () =
   let base = Dsf_core.Det_dsf.run inst in
   let chaos = Fault.chaos (Fault.chaos_plan ~seed:5 g) in
   List.iter
-    (fun (label, flat, jobs) ->
-      let c = Dsf_core.Det_dsf.run ~flat ~jobs ~chaos inst in
+    (fun (label, jobs) ->
+      let c = Dsf_core.Det_dsf.run ~jobs ~chaos inst in
       Alcotest.(check bool)
         (label ^ ": solution identical")
         true
@@ -289,7 +327,7 @@ let test_det_dsf_chaos_differential () =
       check Alcotest.int
         (label ^ ": phase count")
         base.Dsf_core.Det_dsf.phase_count c.Dsf_core.Det_dsf.phase_count)
-    [ "classic", false, 1; "flat j1", true, 1; "flat j4", true, 4 ]
+    [ "flat j1", 1; "flat j4", 4 ]
 
 (* ----------------------------------------------------------- post-mortem *)
 
@@ -359,6 +397,7 @@ let suites =
           test_recovery_stats_counted;
         Alcotest.test_case "exchange under chaos still stabilizes" `Quick
           test_exchange_chaos_still_stabilizes;
+        qtest prop_hardened_reference_flat;
         Alcotest.test_case "det_dsf chaos differential (engines, jobs)"
           `Slow test_det_dsf_chaos_differential;
         Alcotest.test_case "crash plan aborts with post-mortem" `Quick

@@ -175,6 +175,27 @@ let test_cv_star () =
     Alcotest.(check bool) "leaf differs from hub" true (colors.(v) <> colors.(0))
   done
 
+let test_cv_chaos_masked () =
+  (* The coloring and the matching take a run context; under chaos they
+     run hardened with checkpointed recovery and land on the lossless
+     result. *)
+  let r = rng 31 in
+  let g = Gen.random_connected r ~n:20 ~extra_edges:12 ~max_w:5 in
+  let parent = tree_of g 0 in
+  let ctx =
+    {
+      Dsf_congest.Sim.default_ctx with
+      chaos =
+        Some (Dsf_congest.Fault.chaos (Dsf_congest.Fault.chaos_plan ~seed:4 g));
+    }
+  in
+  Alcotest.(check (array int)) "colors"
+    (fst (Dsf_congest.Coloring.three_color g ~parent))
+    (fst (Dsf_congest.Coloring.three_color ~ctx g ~parent));
+  Alcotest.(check (list (pair int int))) "matching"
+    (fst (Dsf_congest.Coloring.maximal_matching g ~parent))
+    (fst (Dsf_congest.Coloring.maximal_matching ~ctx g ~parent))
+
 let prop_cv_proper_and_matching_maximal =
   QCheck.Test.make
     ~name:"CV coloring proper in {0,1,2}; matching valid and maximal"
@@ -309,6 +330,8 @@ let suites =
       [
         Alcotest.test_case "path 3-colored" `Quick test_cv_three_colors_path;
         Alcotest.test_case "star shift-down" `Quick test_cv_star;
+        Alcotest.test_case "coloring + matching under chaos" `Quick
+          test_cv_chaos_masked;
         qtest prop_cv_proper_and_matching_maximal;
       ] );
     ( "congest.sim_corners",

@@ -105,6 +105,15 @@ let small_instance seed =
   let labels = Dsf_graph.Gen.random_labels r ~n:24 ~t:6 ~k:2 in
   Dsf_graph.Instance.make_ic g labels
 
+(* [f] summed over a span and all its descendants. *)
+let rec span_total f (s : Telemetry.span) =
+  List.fold_left (fun acc c -> acc + span_total f c) (f s) s.Telemetry.children
+
+let tree_rounds tel =
+  List.fold_left
+    (fun acc s -> acc + span_total (fun s -> s.Telemetry.rounds) s)
+    0 (Telemetry.root_spans tel)
+
 let test_det_phase_tree () =
   let inst = small_instance 11 in
   let tel = Telemetry.create ~clock:const_clock () in
@@ -124,21 +133,16 @@ let test_det_phase_tree () =
     ];
   (* The tree's engine totals must add up to the ledger's simulated rounds:
      every simulated subroutine ran inside some span. *)
-  let rec total (s : Telemetry.span) =
-    List.fold_left (fun acc c -> acc + total c) s.Telemetry.rounds
-      s.Telemetry.children
-  in
-  let tree_rounds =
-    List.fold_left (fun acc s -> acc + total s) 0 (Telemetry.root_spans tel)
-  in
   check Alcotest.int "tree rounds = ledger simulated"
     (Ledger.simulated r.Dsf_core.Det_dsf.ledger)
-    tree_rounds
+    (tree_rounds tel)
 
 let test_sublinear_phase_tree () =
   let inst = small_instance 12 in
   let tel = Telemetry.create ~clock:const_clock () in
-  ignore (Dsf_core.Det_sublinear.run ~telemetry:tel ~eps_num:1 ~eps_den:2 inst);
+  let r =
+    Dsf_core.Det_sublinear.run ~telemetry:tel ~eps_num:1 ~eps_den:2 inst
+  in
   List.iter
     (fun path ->
       Alcotest.(check bool)
@@ -149,6 +153,36 @@ let test_sublinear_phase_tree () =
       [ "growth"; "merge_phase"; "region_bf" ];
       [ "growth"; "activity" ];
       [ "final" ];
+      (* The final pruning (Appendix F.3) runs with the solve's context. *)
+      [ "final"; "upcast_dedup" ];
+    ];
+  check Alcotest.int "tree rounds = ledger simulated"
+    (Ledger.simulated r.Dsf_core.Det_sublinear.ledger)
+    (tree_rounds tel)
+
+(* Every simulation of Rand_dsf runs with the caller's context, so the
+   LE-list / S-Voronoi construction and the level routing are attributed
+   to their spans, not just timed by them. *)
+let test_rand_spans_attributed () =
+  let inst = small_instance 13 in
+  let tel = Telemetry.create ~clock:const_clock () in
+  ignore
+    (Dsf_core.Rand_dsf.run ~telemetry:tel ~repetitions:1
+       ~rng:(Dsf_util.Rng.create 5) inst);
+  List.iter
+    (fun path ->
+      let name = String.concat "/" path in
+      match Telemetry.find tel path with
+      | None -> Alcotest.failf "%s: span missing" name
+      | Some s ->
+          Alcotest.(check bool) (name ^ " rounds") true
+            (span_total (fun s -> s.Telemetry.rounds) s > 0);
+          Alcotest.(check bool) (name ^ " messages") true
+            (span_total (fun s -> s.Telemetry.messages) s > 0))
+    [
+      [ "trial"; "virtual_tree" ];
+      [ "trial"; "level"; "label_routing" ];
+      [ "trial"; "level"; "backtrace" ];
     ]
 
 (* ------------------------------------------------------- pooled merging *)
@@ -241,6 +275,8 @@ let suites =
         Alcotest.test_case "det_dsf phase tree" `Quick test_det_phase_tree;
         Alcotest.test_case "det_sublinear phase tree" `Quick
           test_sublinear_phase_tree;
+        Alcotest.test_case "rand_dsf spans attributed" `Quick
+          test_rand_spans_attributed;
         qtest prop_pool_merge_jobs_invariant;
         qtest prop_metrics_merge_order_independent;
         Alcotest.test_case "telemetry off = seed behavior" `Quick
